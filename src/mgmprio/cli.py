@@ -6,14 +6,15 @@ Subcommands::
     mgmprio simulate --config FILE [simulation flags]
     mgmprio compare  --config FILE [--mode ...] [simulation flags]
 
-Exit status: 0 on success, 1 on usage or scenario-parse errors, 2 when the
-model is outside the requested mode's domain, 3 when a simulation was
-truncated by the time cap.  Tables round to 6 significant digits; CSV
-output keeps full double precision and, for a fixed seed, is byte-stable
-across invocations.
+Exit status: 0 on success, 1 on usage or scenario-parse errors and on
+invalid values, non-finite ones included, 2 when the model is outside the
+requested mode's domain, 3 when a simulation was truncated by the time
+cap.  Tables round to 6 significant digits; CSV output keeps full double
+precision and, for a fixed seed, is byte-stable across invocations.
 """
 
 import argparse
+import math
 import sys
 
 from .analytic import approx_metrics, exact_mmm_identical, exact_single_channel
@@ -65,7 +66,7 @@ def _build_parser() -> _Parser:
                        help="order within one class (default lifo)")
         p.add_argument("--strict-preemption", action="store_true",
                        help="only displace strictly lower-priority jobs")
-        p.add_argument("--max-time", type=float, default=None,
+        p.add_argument("--max-time", type=float, default=math.inf,
                        help="simulated-time safety cap; hitting it exits 3")
 
     p_analytic = sub.add_parser("analytic", help="closed-form metrics")
@@ -165,20 +166,6 @@ def _tabulate(header, rows):
         yield fmt_row(row)
 
 
-def _policy(args) -> PolicyConfig:
-    return PolicyConfig(
-        within_class_order=args.within_class,
-        equal_class_preemption=not args.strict_preemption,
-    )
-
-
-def _run_config(args) -> RunConfig:
-    kwargs = dict(seed=args.seed, target_completions=args.jobs, warmup_time=args.warmup)
-    if args.max_time is not None:
-        kwargs["max_simulated_time"] = args.max_time
-    return RunConfig(**kwargs)
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -199,38 +186,32 @@ def main(argv=None) -> int:
         print(f"error: {args.config}: {exc}", file=sys.stderr)
         return 1
 
-    if args.command == "analytic":
+    if args.command != "simulate":
+        # compare rejects an out-of-domain model before it simulates
         try:
             metrics = _MODES[args.mode](scenario.model)
         except DomainError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        for line in _analytic_lines(metrics, args.format):
-            print(line)
-        return 0
+        if args.command == "analytic":
+            for line in _analytic_lines(metrics, args.format):
+                print(line)
+            return 0
 
-    if args.command == "simulate":
-        try:
-            report = replicate(scenario.model, _policy(args), _run_config(args), args.reps)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        for line in _report_lines(report, args.format):
-            print(line)
-        return 3 if report.metadata.truncated else 0
-
-    # compare
     try:
-        metrics = _MODES[args.mode](scenario.model)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        report = replicate(scenario.model, _policy(args), _run_config(args), args.reps)
+        cfg = RunConfig(seed=args.seed, target_completions=args.jobs, warmup_time=args.warmup,
+                        max_simulated_time=args.max_time)
+        policy = PolicyConfig(within_class_order=args.within_class,
+                              equal_class_preemption=not args.strict_preemption)
+        report = replicate(scenario.model, policy, cfg, args.reps)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    for line in _compare_lines(compare(report, metrics), args.format):
+    if args.command == "simulate":
+        lines = _report_lines(report, args.format)
+    else:
+        lines = _compare_lines(compare(report, metrics), args.format)
+    for line in lines:
         print(line)
     return 3 if report.metadata.truncated else 0
 

@@ -8,6 +8,8 @@ Uniform), equal to one (Exponential) and above one (HyperExponential).
 
 Sampling is inverse-transform on uniforms pulled one at a time from a
 RandomStream, so seeded runs reproduce bit-identical variate sequences.
+Each law checks when built that its parameters and moments pass
+:func:`require_finite`, the validity rule shared by all model and run inputs.
 """
 
 import math
@@ -17,8 +19,26 @@ from dataclasses import dataclass
 _PROB_SUM_TOL = 1e-12
 
 
+def require_finite(what: str, value, *, zero_ok: bool = False) -> None:
+    """Raise ValueError unless ``value`` is finite and > 0 (>= 0 with ``zero_ok``)."""
+    if not ((value >= 0 if zero_ok else value > 0) and value < math.inf):
+        sign = "nonnegative" if zero_ok else "positive"
+        raise ValueError(f"{what} must be {sign} and finite, got {value!r}")
+
+
+def _quotient(num: float, den: float) -> float:
+    # moments overflow to inf, also when a product of small rates underflows to 0
+    return num / den if den else math.inf
+
+
 class ServiceDistribution:
     """Base type for service laws; construct one of the concrete variants."""
+
+    def check_moments(self) -> None:
+        """Raise ValueError unless the mean and second moment are finite and positive."""
+        name = type(self).__name__
+        require_finite(f"mean of {name}", self.mean())
+        require_finite(f"second moment of {name}", self.second_moment())
 
     def mean(self) -> float:
         raise NotImplementedError
@@ -45,14 +65,14 @@ class Exponential(ServiceDistribution):
     rate: float
 
     def __post_init__(self):
-        if not self.rate > 0:
-            raise ValueError(f"exponential rate must be positive, got {self.rate!r}")
+        require_finite("exponential rate", self.rate)
+        self.check_moments()
 
     def mean(self) -> float:
         return 1.0 / self.rate
 
     def second_moment(self) -> float:
-        return 2.0 / (self.rate * self.rate)
+        return _quotient(2.0, self.rate * self.rate)
 
     def sample(self, stream) -> float:
         return _exp_variate(self.rate, stream)
@@ -66,8 +86,8 @@ class Deterministic(ServiceDistribution):
     value: float
 
     def __post_init__(self):
-        if not self.value > 0:
-            raise ValueError(f"deterministic value must be positive, got {self.value!r}")
+        require_finite("deterministic value", self.value)
+        self.check_moments()
 
     def mean(self) -> float:
         return self.value
@@ -93,14 +113,14 @@ class Erlang(ServiceDistribution):
     def __post_init__(self):
         if not (isinstance(self.shape, int) and self.shape >= 1):
             raise ValueError(f"erlang shape must be a positive integer, got {self.shape!r}")
-        if not self.rate > 0:
-            raise ValueError(f"erlang rate must be positive, got {self.rate!r}")
+        require_finite("erlang rate", self.rate)
+        self.check_moments()
 
     def mean(self) -> float:
         return self.shape / self.rate
 
     def second_moment(self) -> float:
-        return self.shape * (self.shape + 1) / (self.rate * self.rate)
+        return _quotient(self.shape * (self.shape + 1), self.rate * self.rate)
 
     def sample(self, stream) -> float:
         total = 0.0
@@ -125,17 +145,17 @@ class HyperExponential(ServiceDistribution):
         for prob, rate in self.branches:
             if not 0 < prob <= 1:
                 raise ValueError(f"branch probability must be in (0, 1], got {prob!r}")
-            if not rate > 0:
-                raise ValueError(f"branch rate must be positive, got {rate!r}")
+            require_finite("branch rate", rate)
         total = math.fsum(p for p, _ in self.branches)
         if abs(total - 1.0) > _PROB_SUM_TOL:
             raise ValueError(f"branch probabilities sum to {total!r}, not 1")
+        self.check_moments()
 
     def mean(self) -> float:
         return math.fsum(p / r for p, r in self.branches)
 
     def second_moment(self) -> float:
-        return math.fsum(p * 2.0 / (r * r) for p, r in self.branches)
+        return math.fsum(_quotient(p * 2.0, r * r) for p, r in self.branches)
 
     def sample(self, stream) -> float:
         u = stream.uniform()
@@ -159,8 +179,11 @@ class Uniform(ServiceDistribution):
     hi: float
 
     def __post_init__(self):
-        if not (0 <= self.lo < self.hi):
-            raise ValueError(f"uniform bounds need 0 <= lo < hi, got {self.lo!r}, {self.hi!r}")
+        require_finite("uniform lower bound", self.lo, zero_ok=True)
+        require_finite("uniform upper bound", self.hi)
+        if not self.lo < self.hi:
+            raise ValueError(f"uniform bounds need lo < hi, got {self.lo!r}, {self.hi!r}")
+        self.check_moments()
 
     def mean(self) -> float:
         return 0.5 * (self.lo + self.hi)

@@ -2,7 +2,7 @@
 
 from dataclasses import dataclass
 
-from .distributions import ServiceDistribution
+from .distributions import ServiceDistribution, require_finite
 
 
 class DomainError(ValueError):
@@ -17,8 +17,8 @@ class ClassSpec:
     service: ServiceDistribution
 
     def __post_init__(self):
-        if not self.arrival_rate > 0:
-            raise ValueError(f"arrival rate must be positive, got {self.arrival_rate!r}")
+        require_finite("arrival rate", self.arrival_rate)
+        self.service.check_moments()
 
 
 @dataclass(frozen=True)

@@ -10,14 +10,13 @@ independent replications.
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import stats as _sps
 
 from .analytic import ClassMetrics
 from .model import SystemModel
-from .simulation import PolicyConfig, RunConfig, TraceInput, per_class_raw, run
+from .simulation import PolicyConfig, RunConfig, per_class_raw, run
 
 __all__ = [
     "METRIC_NAMES",
@@ -75,12 +74,12 @@ class SimulationReport:
     metadata: ReplicationMetadata
 
 
-def _t_half_width(values: list[float]) -> float:
+def _t_half_width(values: list[float], student_t) -> float:
     n = len(values)
     if n < 2:
         return 0.0
     sd = float(np.std(values, ddof=1))
-    return float(_sps.t.ppf(0.975, n - 1)) * sd / math.sqrt(n)
+    return float(student_t.ppf(0.975, n - 1)) * sd / math.sqrt(n)
 
 
 def rep_seeds(base_seed: int, n_reps: int) -> tuple[int, ...]:
@@ -98,29 +97,22 @@ def replicate(model: SystemModel, policy: PolicyConfig, base_cfg, n_reps: int) -
     """
     if n_reps < 1:
         raise ValueError("n_reps must be at least 1")
+    # most of the package's import time, so loaded only here, before the timer
+    from scipy.stats import t as student_t
+
     started = time.perf_counter()
     if isinstance(base_cfg, RunConfig):
         seeds = rep_seeds(base_cfg.seed, n_reps)
-        cfgs = [
-            RunConfig(
-                seed=s,
-                target_completions=base_cfg.target_completions,
-                warmup_time=base_cfg.warmup_time,
-                max_simulated_time=base_cfg.max_simulated_time,
-            )
-            for s in seeds
-        ]
+        cfgs = [replace(base_cfg, seed=s) for s in seeds]
         base_seed = base_cfg.seed
         warmup = base_cfg.warmup_time
         target = base_cfg.target_completions
-    elif isinstance(base_cfg, TraceInput):
+    else:  # a TraceInput; run rejects any other type
         seeds = ()
         cfgs = [base_cfg] * n_reps
         base_seed = None
         warmup = None
         target = None
-    else:
-        raise TypeError(f"base_cfg must be RunConfig or TraceInput, got {type(base_cfg).__name__}")
 
     truncated = False
     completions = []
@@ -145,7 +137,7 @@ def replicate(model: SystemModel, policy: PolicyConfig, base_cfg, n_reps: int) -
             row[name] = ClassEstimate(
                 metric=name,
                 estimate=math.fsum(values) / len(values) if values else None,
-                ci_half_width=_t_half_width(values) if values else None,
+                ci_half_width=_t_half_width(values, student_t) if values else None,
                 replications=len(values),
             )
         classes[cls] = row

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 from .distributions import parse_distribution
 from .model import ClassSpec, SystemModel
-from .simulation import PolicyConfig, RunConfig
 
 __all__ = ["Scenario", "ScenarioError", "parse_scenario", "render_scenario"]
 
@@ -31,71 +30,69 @@ class ScenarioError(ValueError):
 
 @dataclass(frozen=True)
 class Scenario:
-    """A parsed model plus optional policy/run overrides.
-
-    The file grammar itself only defines the model; the override slots are
-    for callers that bundle a scenario with non-default settings.
-    """
+    """A parsed model."""
 
     model: SystemModel
-    policy: PolicyConfig | None = None
-    run_defaults: RunConfig | None = None
+
+
+def _class_spec(tokens: list[str]) -> ClassSpec:
+    """The class built from a class directive's ``key=value`` tokens."""
+    values = {}
+    for token in tokens:
+        key, sep, value = token.partition("=")
+        if not sep:
+            raise ValueError(f"expected key=value, got {token!r}")
+        if key not in ("lambda", "service"):
+            raise ValueError(f"unknown key {key!r}")
+        values[key] = value
+    for key in ("lambda", "service"):
+        if key not in values:
+            raise ValueError(f"class line is missing {key}=")
+    try:
+        rate = float(values["lambda"])
+    except ValueError:
+        raise ValueError(f"malformed rate {values['lambda']!r}") from None
+    return ClassSpec(arrival_rate=rate, service=parse_distribution(values["service"]))
 
 
 def parse_scenario(text: str) -> Scenario:
-    """Parse scenario text; raises ScenarioError with a line number on failure."""
+    """Parse scenario text; raises ScenarioError with a line number on failure.
+
+    Values are checked by the constructors of the objects they become; a
+    ValueError from one is reported against its directive's line.
+    """
     servers: int | None = None
+    servers_line: int | None = None
     classes: list[ClassSpec] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        tokens = line.split()
-        keyword = tokens[0]
-        if keyword == "servers":
-            if servers is not None:
-                raise ScenarioError("duplicate servers directive", lineno)
-            if len(tokens) != 2:
-                raise ScenarioError("servers takes exactly one value", lineno)
-            try:
-                servers = int(tokens[1])
-            except ValueError:
-                raise ScenarioError(f"malformed server count {tokens[1]!r}", lineno) from None
-            if servers < 1:
-                raise ScenarioError(f"server count must be positive, got {servers}", lineno)
-        elif keyword == "class":
-            rate = None
-            service = None
-            for token in tokens[1:]:
-                key, sep, value = token.partition("=")
-                if not sep:
-                    raise ScenarioError(f"expected key=value, got {token!r}", lineno)
-                if key == "lambda":
-                    try:
-                        rate = float(value)
-                    except ValueError:
-                        raise ScenarioError(f"malformed rate {value!r}", lineno) from None
-                elif key == "service":
-                    try:
-                        service = parse_distribution(value)
-                    except ValueError as exc:
-                        raise ScenarioError(str(exc), lineno) from None
-                else:
-                    raise ScenarioError(f"unknown key {key!r}", lineno)
-            if rate is None:
-                raise ScenarioError("class line is missing lambda=", lineno)
-            if service is None:
-                raise ScenarioError("class line is missing service=", lineno)
-            if rate <= 0:
-                raise ScenarioError(f"arrival rate must be positive, got {rate!r}", lineno)
-            classes.append(ClassSpec(arrival_rate=rate, service=service))
-        else:
-            raise ScenarioError(f"unknown directive {keyword!r}", lineno)
+        keyword, *args = line.split()
+        try:
+            if keyword == "servers":
+                if servers is not None:
+                    raise ValueError("duplicate servers directive")
+                if len(args) != 1:
+                    raise ValueError("servers takes exactly one value")
+                try:
+                    servers, servers_line = int(args[0]), lineno
+                except ValueError:
+                    raise ValueError(f"malformed server count {args[0]!r}") from None
+            elif keyword == "class":
+                classes.append(_class_spec(args))
+            else:
+                raise ValueError(f"unknown directive {keyword!r}")
+        except ValueError as exc:
+            raise ScenarioError(str(exc), lineno) from None
     if servers is None:
         raise ScenarioError("missing servers directive")
     if not classes:
         raise ScenarioError("scenario defines no classes")
-    return Scenario(model=SystemModel(servers=servers, classes=tuple(classes)))
+    try:
+        return Scenario(model=SystemModel(servers=servers, classes=tuple(classes)))
+    except ValueError as exc:
+        raise ScenarioError(str(exc), servers_line) from None
 
 
 def render_scenario(scenario: Scenario) -> str:

@@ -36,7 +36,7 @@ import math
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
-from .distributions import Exponential
+from .distributions import _exp_variate, require_finite
 from .model import SystemModel
 from .streams import substreams
 
@@ -80,8 +80,8 @@ class RunConfig:
     """Stochastic run: seed, stopping rule and warm-up.
 
     Jobs arriving at or before ``warmup_time`` are simulated but not
-    counted.  ``max_simulated_time`` is a safety cap; hitting it flags the
-    result truncated.
+    counted.  ``max_simulated_time`` is a safety cap, infinite by default;
+    hitting it flags the result truncated.
     """
 
     seed: int
@@ -90,15 +90,15 @@ class RunConfig:
     max_simulated_time: float = math.inf
 
     def __post_init__(self):
-        if self.target_completions <= 0:
-            raise ValueError("target_completions must be positive")
-        if self.warmup_time < 0:
-            raise ValueError("warmup_time must be nonnegative")
+        require_finite("target_completions", self.target_completions)
+        require_finite("warmup_time", self.warmup_time, zero_ok=True)
+        if self.max_simulated_time != math.inf:
+            require_finite("max_simulated_time", self.max_simulated_time)
 
 
 @dataclass(frozen=True)
 class TraceInput:
-    """Scripted arrivals: (time, class index, service requirement) triples in time order."""
+    """Scripted arrivals: (time, class index, service requirement) triples in time order from 0."""
 
     arrivals: tuple[tuple[float, int, float], ...]
 
@@ -106,10 +106,10 @@ class TraceInput:
         object.__setattr__(self, "arrivals", tuple(tuple(a) for a in self.arrivals))
         last = -math.inf
         for k, (t, cls, service) in enumerate(self.arrivals):
+            require_finite(f"trace entry {k} time", t, zero_ok=True)
             if t < last:
                 raise ValueError(f"trace times must be nondecreasing, entry {k} at {t!r} after {last!r}")
-            if not service > 0:
-                raise ValueError(f"trace entry {k} has nonpositive service {service!r}")
+            require_finite(f"trace entry {k} service", service)
             if not (isinstance(cls, int) and cls >= 1):
                 raise ValueError(f"trace entry {k} has invalid class {cls!r}")
             last = t
@@ -195,7 +195,7 @@ def run(model: SystemModel, policy: PolicyConfig, cfg) -> RunResult:
 
     if stochastic:
         streams = substreams(cfg.seed, 2 * n_classes)
-        interarrival = [Exponential(c.arrival_rate) for c in model.classes]
+        rates = [c.arrival_rate for c in model.classes]
         services = [c.service for c in model.classes]
         warmup = cfg.warmup_time
         target = cfg.target_completions
@@ -204,7 +204,7 @@ def run(model: SystemModel, policy: PolicyConfig, cfg) -> RunResult:
 
         def schedule_arrival(k: int, t_from: float):
             nonlocal arr_seq
-            t = t_from + interarrival[k].sample(streams[2 * k])
+            t = t_from + _exp_variate(rates[k], streams[2 * k])
             job = _Job(k + 1, t, services[k].sample(streams[2 * k + 1]), t > warmup)
             heappush(events, (t, _ARRIVAL, arr_seq, job))
             arr_seq += 1

@@ -99,10 +99,12 @@ def test_missing_config_file(capsys):
 
 def test_scenario_parse_error_reports_file_and_line(capsys, tmp_path):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("servers 3\nclass lambda=zero service=exp(1)\n")
-    code, out, err = run_cli(capsys, "analytic", "--config", str(cfg))
-    assert code == 1
-    assert "bad.cfg" in err and "line 2" in err
+    for bad in ("lambda=zero service=exp(1)", "lambda=nan service=exp(1)", "lambda=1 service=exp(1e-300)"):
+        cfg.write_text(f"servers 3\nclass {bad}\n")
+        code, out, err = run_cli(capsys, "analytic", "--config", str(cfg))
+        assert code == 1, bad
+        assert out == "" and err.count("\n") == 1
+        assert "bad.cfg" in err and "line 2" in err
 
 
 @pytest.mark.parametrize(
@@ -124,6 +126,17 @@ def test_usage_errors_exit_one(capsys, argv):
 def test_bad_mode_value_exits_one(capsys):
     code, _, err = run_cli(capsys, "analytic", "--config", PAPER_S4_CFG, "--mode", "exact")
     assert code == 1 and "invalid choice" in err
+
+
+def test_analytic_does_not_import_scipy_stats():
+    # scipy.stats is most of the package's import time and only intervals need it
+    code = ("import sys, mgmprio, mgmprio.cli; "
+            f"assert mgmprio.cli.main(['analytic', '--config', {MD1_CFG!r}]) == 0; "
+            "assert 'scipy.stats' not in sys.modules")
+    package_root = Path(mgmprio.__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(package_root)})
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_help_exits_zero(capsys):

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from mgmprio import (
+    ClassSpec,
     Deterministic,
     Erlang,
     Exponential,
     HyperExponential,
     RandomStream,
+    ServiceDistribution,
     Uniform,
     parse_distribution,
     substreams,
@@ -128,6 +130,19 @@ def test_stream_follows_documented_derivation():
     assert got == expected.tolist()
 
 
+class _InfiniteSecondMoment(ServiceDistribution):
+    """A law defined outside the package, such as a Pareto of shape 2."""
+
+    def mean(self):
+        return 2.0
+
+    def second_moment(self):
+        return math.inf
+
+    def spec(self):
+        return "pareto(2)"
+
+
 @pytest.mark.parametrize(
     "build",
     [
@@ -144,6 +159,13 @@ def test_stream_follows_documented_derivation():
         lambda: Uniform(1.0, 1.0),
         lambda: Uniform(-0.5, 1.0),
         lambda: Uniform(2.0, 1.0),
+        lambda: Exponential(math.inf),
+        lambda: Exponential(math.nan),
+        lambda: Exponential(1e-300),  # second moment overflows
+        lambda: Deterministic(math.inf),
+        lambda: Uniform(0.0, math.inf),
+        lambda: HyperExponential(((1.0, math.inf),)),
+        lambda: ClassSpec(1.0, _InfiniteSecondMoment()),
     ],
 )
 def test_invalid_parameters_rejected(build):
@@ -182,6 +204,12 @@ def test_parse_accepts_interior_whitespace():
         "hyperexp(0.5;1.0)",
         "uniform(2,1)",
         "uniform(1)",
+        "exp(inf)",
+        "exp(nan)",
+        "exp(1e-300)",
+        "det(inf)",
+        "uniform(0,inf)",
+        "hyperexp(1:inf)",
     ],
 )
 def test_parse_rejects_malformed_specs(text):

@@ -41,8 +41,6 @@ def test_parse_four_class_model():
         Exponential(1.6666666667),
         Exponential(1.25),
     ]
-    assert scenario.policy is None
-    assert scenario.run_defaults is None
 
 
 def test_parse_single_class_md1():
@@ -75,6 +73,8 @@ def test_comments_and_blank_lines_are_ignored():
         ("servers 1\nclass lambda=1 service=exp(1)\nclass lambda=oops service=exp(1)", 3, "malformed rate"),
         ("servers 1\nclass lambda=0 service=exp(1)", 2, "positive"),
         ("servers 1\nclass lambda=-1 service=exp(1)", 2, "positive"),
+        ("servers 1\nclass lambda=nan service=exp(1)", 2, "finite"),
+        ("servers 1\nclass lambda=inf service=exp(1)", 2, "finite"),
         ("servers 1\nclass lambda=1 service=exp(0)", 2, "rate"),
         ("servers 1\nclass lambda=1 service=gamma(1)", 2, "unknown distribution"),
         ("servers 1\nclass lambda=1", 2, "missing service="),

@@ -168,6 +168,28 @@ def test_trace_validation():
         TraceInput([(0.0, 1, 0.0)])
     with pytest.raises(ValueError):
         TraceInput([(0.0, 0, 1.0)])
+    for bad in [(math.nan, 1, 1.0), (-1.0, 1, 1.0), (math.inf, 1, 1.0), (0.0, 1, math.inf), (0.0, 1, math.nan)]:
+        with pytest.raises(ValueError):
+            TraceInput([bad])
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"target_completions": 0},
+        {"target_completions": math.inf},
+        {"warmup_time": -1.0},
+        {"warmup_time": math.nan},
+        {"warmup_time": math.inf},
+        {"max_simulated_time": 0.0},
+        {"max_simulated_time": math.nan},
+    ],
+    ids=repr,
+)
+def test_run_config_rejects_invalid_values(kwargs):
+    # a NaN warm-up or cap would otherwise run forever or lift the cap
+    with pytest.raises(ValueError):
+        RunConfig(**{"seed": 1, "target_completions": 10, **kwargs})
 
 
 def test_trace_classes_must_fit_model():
