@@ -42,6 +42,7 @@ from .replication import (
 from .scenario import Scenario, ScenarioError, parse_scenario, render_scenario
 from .simulation import (
     JOB_RECORD_CSV_HEADER,
+    JobLog,
     JobRecord,
     PolicyConfig,
     RawClassStats,
@@ -88,6 +89,7 @@ __all__ = [
     "parse_scenario",
     "render_scenario",
     "JOB_RECORD_CSV_HEADER",
+    "JobLog",
     "JobRecord",
     "PolicyConfig",
     "RawClassStats",

@@ -17,6 +17,10 @@ import re
 from dataclasses import dataclass
 
 _PROB_SUM_TOL = 1e-12
+# each Erlang variate costs ``shape`` uniforms; the squared coefficient of
+# variation is 1/shape, so at this cap it is already <= 0.001, and det()
+# covers the limit
+_MAX_ERLANG_SHAPE = 1000
 
 
 def require_finite(what: str, value, *, zero_ok: bool = False) -> None:
@@ -111,8 +115,8 @@ class Erlang(ServiceDistribution):
     rate: float
 
     def __post_init__(self):
-        if not (isinstance(self.shape, int) and self.shape >= 1):
-            raise ValueError(f"erlang shape must be a positive integer, got {self.shape!r}")
+        if not (isinstance(self.shape, int) and 1 <= self.shape <= _MAX_ERLANG_SHAPE):
+            raise ValueError(f"erlang shape must be an integer from 1 to {_MAX_ERLANG_SHAPE}, got {self.shape!r}")
         require_finite("erlang rate", self.rate)
         self.check_moments()
 

@@ -122,6 +122,7 @@ def replicate(model: SystemModel, policy: PolicyConfig, base_cfg, n_reps: int) -
         truncated = truncated or result.truncated
         completions.append(result.counted_completions)
         raw = per_class_raw(result.records, model)
+        del result  # free this rep's job log before the next rep builds its own
         for cls, stats_ in raw.items():
             per_metric = samples.setdefault(cls, {name: [] for name in METRIC_NAMES})
             for name in METRIC_NAMES:

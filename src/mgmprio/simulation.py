@@ -33,6 +33,7 @@ job is counted.
 """
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
@@ -45,6 +46,7 @@ __all__ = [
     "RunConfig",
     "TraceInput",
     "JobRecord",
+    "JobLog",
     "RunResult",
     "RawClassStats",
     "run",
@@ -129,11 +131,62 @@ class JobRecord:
     interruption_intervals: tuple[float, ...]
 
 
+class JobLog(Sequence):
+    """The counted completed jobs of one run, in completion order, stored by column.
+
+    A read-only sequence: indexing and iteration build each job's
+    :class:`JobRecord` on demand, and a slice gives a tuple of them.  Two
+    logs are equal when every column is.
+    """
+
+    __slots__ = ("_columns",)
+
+    def __init__(self):
+        # one list per field: class index, arrival, service, first start,
+        # completion, and the job's list of interruption intervals (None
+        # when it was never preempted)
+        self._columns = ([], [], [], [], [], [])
+
+    def __len__(self):
+        return len(self._columns[0])
+
+    def __getitem__(self, key):
+        fields = (column[key] for column in self._columns)
+        if isinstance(key, slice):
+            return tuple(map(_record, *fields))
+        return _record(*fields)
+
+    def __iter__(self):
+        return map(_record, *self._columns)
+
+    def __eq__(self, other):
+        if not isinstance(other, JobLog):
+            return NotImplemented
+        return self._columns == other._columns
+
+    def __repr__(self):
+        return f"JobLog({len(self)} jobs)"
+
+
+def _record(class_index, arrival, service, first_start, completion, intervals) -> JobRecord:
+    intervals = tuple(intervals) if intervals else ()
+    return JobRecord(
+        class_index=class_index,
+        arrival_time=arrival,
+        service_requirement=service,
+        first_start_time=first_start,
+        completion_time=completion,
+        preemption_count=len(intervals),
+        total_interruption_time=math.fsum(intervals),
+        interruption_intervals=intervals,
+    )
+
+
 @dataclass(frozen=True)
 class RunResult:
-    """Counted completed-job records plus how the run ended."""
+    """Counted completed-job log plus how the run ended."""
 
-    records: tuple[JobRecord, ...]
+    records: JobLog
     truncated: bool
     counted_completions: int
     end_time: float
@@ -152,20 +205,6 @@ class _Job:
         self.suspended_at = None
         self.interruptions = None
         self.counted = counted
-
-
-def _record(job: _Job, completion: float) -> JobRecord:
-    intervals = tuple(job.interruptions) if job.interruptions else ()
-    return JobRecord(
-        class_index=job.cls,
-        arrival_time=job.arrival,
-        service_requirement=job.service,
-        first_start_time=job.first_start,
-        completion_time=completion,
-        preemption_count=len(intervals),
-        total_interruption_time=math.fsum(intervals),
-        interruption_intervals=intervals,
-    )
 
 
 def run(model: SystemModel, policy: PolicyConfig, cfg) -> RunResult:
@@ -188,7 +227,10 @@ def run(model: SystemModel, policy: PolicyConfig, cfg) -> RunResult:
     server_start = [0.0] * m
     token = 0
     pool_seq = 0
-    records: list[JobRecord] = []
+    log = JobLog()
+    log_class, log_arrival, log_service, log_first_start, log_completion, log_intervals = (
+        column.append for column in log._columns
+    )
     counted_done = 0
     truncated = False
     now = 0.0
@@ -251,7 +293,12 @@ def run(model: SystemModel, policy: PolicyConfig, cfg) -> RunResult:
             server_job[sidx] = None
             server_token[sidx] = 0
             if job.counted:
-                records.append(_record(job, now))
+                log_class(job.cls)
+                log_arrival(job.arrival)
+                log_service(job.service)
+                log_first_start(job.first_start)
+                log_completion(now)
+                log_intervals(job.interruptions)
                 counted_done += 1
             if pool:
                 place(heappop(pool)[3], sidx)
@@ -293,7 +340,7 @@ def run(model: SystemModel, policy: PolicyConfig, cfg) -> RunResult:
         assert not pool or not idle, "work conservation violated: idle server with waiting jobs"
 
     return RunResult(
-        records=tuple(records),
+        records=log,
         truncated=truncated,
         counted_completions=counted_done,
         end_time=now,
@@ -324,19 +371,33 @@ class RawClassStats:
     interruption_mean: float | None
 
 
-def per_class_raw(records, model: SystemModel) -> dict[int, RawClassStats]:
-    """Aggregate records into the raw estimators, keyed by class index.
+def per_class_raw(log: JobLog, model: SystemModel) -> dict[int, RawClassStats]:
+    """Reduce a run's job log into the raw estimators, keyed by class index.
 
-    Every class of the model gets an entry; one with no counted jobs is
-    flagged by ``count == 0`` and carries no aggregate values.
+    One pass over the log's columns gathers each class's terms, each class's
+    sums then go through ``math.fsum``.  Every class of the model gets an
+    entry; one with no counted jobs is flagged by ``count == 0`` and
+    carries no aggregate values.
     """
-    by_class: dict[int, list[JobRecord]] = {}
-    for r in records:
-        by_class.setdefault(r.class_index, []).append(r)
+    n_classes = len(model.classes)
+    sojourns = [[] for _ in range(n_classes + 1)]
+    services = [[] for _ in range(n_classes + 1)]
+    delays = [[] for _ in range(n_classes + 1)]
+    int_totals = [[] for _ in range(n_classes + 1)]
+    int_counts = [0] * (n_classes + 1)
+    for cls, arrival, service, first_start, completion, intervals in zip(*log._columns):
+        sojourns[cls].append(completion - arrival)
+        services[cls].append(service)
+        if first_start > arrival:
+            delays[cls].append(first_start - arrival)
+        if intervals:
+            int_counts[cls] += len(intervals)
+            # a job never preempted adds an exact zero, so leaving it out keeps the sum
+            int_totals[cls].append(math.fsum(intervals))
     out: dict[int, RawClassStats] = {}
-    for cls in range(1, len(model.classes) + 1):
-        jobs = by_class.get(cls)
-        if not jobs:
+    for cls in range(1, n_classes + 1):
+        n = len(sojourns[cls])
+        if not n:
             out[cls] = RawClassStats(
                 count=0,
                 sojourn_mean=None,
@@ -351,20 +412,19 @@ def per_class_raw(records, model: SystemModel) -> dict[int, RawClassStats]:
                 interruption_mean=None,
             )
             continue
-        n = len(jobs)
-        sojourn_mean = math.fsum(r.completion_time - r.arrival_time for r in jobs) / n
-        service_mean = math.fsum(r.service_requirement for r in jobs) / n
-        delays = [r.first_start_time - r.arrival_time for r in jobs if r.first_start_time > r.arrival_time]
-        int_count = sum(r.preemption_count for r in jobs)
-        int_time = math.fsum(r.total_interruption_time for r in jobs)
+        sojourn_mean = math.fsum(sojourns[cls]) / n
+        service_mean = math.fsum(services[cls]) / n
+        n_delayed = len(delays[cls])
+        int_count = int_counts[cls]
+        int_time = math.fsum(int_totals[cls])
         out[cls] = RawClassStats(
             count=n,
             sojourn_mean=sojourn_mean,
             wait_mean=sojourn_mean - service_mean,
             service_mean=service_mean,
-            delayed_fraction=len(delays) / n,
-            delayed_count=len(delays),
-            initial_delay_mean=math.fsum(delays) / len(delays) if delays else None,
+            delayed_fraction=n_delayed / n,
+            delayed_count=n_delayed,
+            initial_delay_mean=math.fsum(delays[cls]) / n_delayed if n_delayed else None,
             preemption_mean=int_count / n,
             interruption_count=int_count,
             interruption_time=int_time,

@@ -7,10 +7,17 @@ Erlang quantities come from the direct factorial sum, waiting and
 sojourn times from their explicit closed forms, and every step is exact
 rational arithmetic on ``fractions.Fraction``.  Tests freeze values
 produced here and require the float implementation to reproduce them.
+
+It also keeps the record-by-record per-class reduction,
+:func:`reference_per_class_raw`, that the simulator's columnar
+``per_class_raw`` must match exactly.
 """
 
+import math
 from fractions import Fraction
 from math import factorial
+
+from mgmprio import RawClassStats
 
 Rational = Fraction | int
 
@@ -116,3 +123,48 @@ def exp_moments(service_rate: Rational) -> tuple[Fraction, Fraction]:
     """(mean, second moment) of an exponential service law."""
     r = Fraction(service_rate)
     return (1 / r, 2 / r**2)
+
+
+def reference_per_class_raw(records, n_classes: int) -> dict[int, RawClassStats]:
+    """Group any iterable of JobRecord by class and sum each group with ``math.fsum``."""
+    by_class = {}
+    for r in records:
+        by_class.setdefault(r.class_index, []).append(r)
+    out = {}
+    for cls in range(1, n_classes + 1):
+        jobs = by_class.get(cls)
+        if not jobs:
+            out[cls] = RawClassStats(
+                count=0,
+                sojourn_mean=None,
+                wait_mean=None,
+                service_mean=None,
+                delayed_fraction=None,
+                delayed_count=0,
+                initial_delay_mean=None,
+                preemption_mean=None,
+                interruption_count=0,
+                interruption_time=0.0,
+                interruption_mean=None,
+            )
+            continue
+        n = len(jobs)
+        sojourn_mean = math.fsum(r.completion_time - r.arrival_time for r in jobs) / n
+        service_mean = math.fsum(r.service_requirement for r in jobs) / n
+        delays = [r.first_start_time - r.arrival_time for r in jobs if r.first_start_time > r.arrival_time]
+        int_count = sum(r.preemption_count for r in jobs)
+        int_time = math.fsum(r.total_interruption_time for r in jobs)
+        out[cls] = RawClassStats(
+            count=n,
+            sojourn_mean=sojourn_mean,
+            wait_mean=sojourn_mean - service_mean,
+            service_mean=service_mean,
+            delayed_fraction=len(delays) / n,
+            delayed_count=len(delays),
+            initial_delay_mean=math.fsum(delays) / len(delays) if delays else None,
+            preemption_mean=int_count / n,
+            interruption_count=int_count,
+            interruption_time=int_time,
+            interruption_mean=int_time / int_count if int_count else None,
+        )
+    return out

@@ -99,7 +99,12 @@ def test_missing_config_file(capsys):
 
 def test_scenario_parse_error_reports_file_and_line(capsys, tmp_path):
     cfg = tmp_path / "bad.cfg"
-    for bad in ("lambda=zero service=exp(1)", "lambda=nan service=exp(1)", "lambda=1 service=exp(1e-300)"):
+    for bad in (
+        "lambda=zero service=exp(1)",
+        "lambda=nan service=exp(1)",
+        "lambda=1 service=exp(1e-300)",
+        "lambda=0.5 service=erlang(100000000,1e8)",
+    ):
         cfg.write_text(f"servers 3\nclass {bad}\n")
         code, out, err = run_cli(capsys, "analytic", "--config", str(cfg))
         assert code == 1, bad

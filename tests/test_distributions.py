@@ -166,6 +166,7 @@ class _InfiniteSecondMoment(ServiceDistribution):
         lambda: Uniform(0.0, math.inf),
         lambda: HyperExponential(((1.0, math.inf),)),
         lambda: ClassSpec(1.0, _InfiniteSecondMoment()),
+        lambda: Erlang(100_000_000, 1e8),  # each variate would draw 10^8 uniforms
     ],
 )
 def test_invalid_parameters_rejected(build):
@@ -210,6 +211,7 @@ def test_parse_accepts_interior_whitespace():
         "det(inf)",
         "uniform(0,inf)",
         "hyperexp(1:inf)",
+        "erlang(100000000,1e8)",
     ],
 )
 def test_parse_rejects_malformed_specs(text):

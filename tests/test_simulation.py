@@ -7,6 +7,7 @@ import pytest
 
 from mgmprio import (
     ClassSpec,
+    Deterministic,
     Exponential,
     JOB_RECORD_CSV_HEADER,
     PolicyConfig,
@@ -17,10 +18,20 @@ from mgmprio import (
     run,
     write_job_records,
 )
+from oracles import reference_per_class_raw
 
 M1 = SystemModel(1, [ClassSpec(1.0, Exponential(1.0))])
 M1_TWO = SystemModel(1, [ClassSpec(1.0, Exponential(1.0)), ClassSpec(1.0, Exponential(1.0))])
 M2_TWO = SystemModel(2, [ClassSpec(1.0, Exponential(1.0)), ClassSpec(1.0, Exponential(1.0))])
+PAPER_S4 = SystemModel(
+    3,
+    [
+        ClassSpec(1.0, Exponential(5.0)),
+        ClassSpec(1.0, Exponential(2.5)),
+        ClassSpec(1.0, Exponential(5.0 / 3.0)),
+        ClassSpec(1.0, Exponential(1.25)),
+    ],
+)
 
 LIFO = PolicyConfig()
 FIFO = PolicyConfig(within_class_order="fifo")
@@ -116,6 +127,27 @@ def test_per_class_raw_flags_empty_class():
     assert stats[1].count == 1
     assert stats[2].count == 0
     assert stats[2].sojourn_mean is None
+
+
+@pytest.mark.parametrize(
+    "model, policy, cfg",
+    [
+        (PAPER_S4, LIFO, RunConfig(seed=5, target_completions=5000, warmup_time=20.0)),
+        (PAPER_S4, FIFO, RunConfig(seed=5, target_completions=5000, warmup_time=20.0)),
+        (PAPER_S4, STRICT, RunConfig(seed=5, target_completions=5000, warmup_time=20.0)),
+        (SystemModel(1, [ClassSpec(0.7, Deterministic(1.0))]), LIFO,
+         RunConfig(seed=6, target_completions=3000, warmup_time=20.0)),
+        # class 2 arrives so rarely that none of its jobs is counted
+        (SystemModel(1, [ClassSpec(0.5, Exponential(1.0)), ClassSpec(1e-9, Exponential(1.0))]), LIFO,
+         RunConfig(seed=7, target_completions=500, warmup_time=10.0)),
+        (M2_TWO, LIFO, TraceInput([(0.0, 2, 10.0), (0.5, 2, 10.0), (1.0, 1, 1.0), (1.5, 1, 0.5), (1.5, 2, 2.0)])),
+    ],
+    ids=["s4-lifo", "s4-fifo", "s4-strict", "md1", "empty-class", "trace"],
+)
+def test_per_class_raw_matches_record_reference(model, policy, cfg):
+    result = run(model, policy, cfg)
+    n = len(model.classes)
+    assert per_class_raw(result.records, model) == reference_per_class_raw(list(result.records), n)
 
 
 def test_within_class_order_lifo_vs_fifo():
@@ -244,6 +276,13 @@ def test_runs_are_deterministic():
     b = run(model, LIFO, cfg)
     assert a.records == b.records
     assert a.end_time == b.end_time
+    assert len(a.records) == a.counted_completions
+    listed = list(a.records)
+    assert a.records[-1] == listed[-1] and a.records[-len(listed)] == listed[0]
+    assert a.records[10:20] == tuple(listed[10:20]) and a.records[::-500] == tuple(listed[::-500])
+    completions = [r.completion_time for r in a.records]
+    assert completions == sorted(completions)
+    assert run(model, LIFO, RunConfig(seed=22, target_completions=2000, warmup_time=20.0)).records != a.records
 
 
 def test_warmup_excludes_early_arrivals():
@@ -271,3 +310,7 @@ def test_job_record_csv_dump():
     assert int(cells[0]) == result.records[0].class_index
     assert float(cells[1]) == result.records[0].arrival_time
     assert float(cells[6]) == result.records[0].total_interruption_time
+    assert len(result.records) == result.counted_completions == 2
+    assert result.records[-1] == result.records[1] and result.records[-2] == result.records[0]
+    assert result.records[:1] == (result.records[0],) and result.records[5:] == ()
+    assert [r.completion_time for r in result.records] == [2.0, 4.0]
