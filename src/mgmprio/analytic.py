@@ -256,6 +256,13 @@ def check_identities(
     of the classes-1..j subsystem as each mode defines it: the prefix load
     itself on a single channel, the Erlang C value otherwise.  Unstable
     classes yield None.
+
+    Every mode of this module builds ``w`` and ``v`` from their identities
+    (``_assemble``), so on its metrics the ``waiting`` and ``sojourn``
+    residuals are zero by construction (under :func:`exact_mmm_identical`,
+    up to the 1e-12 relative spread it allows between the class rates).
+    They test metrics built elsewhere; only ``preemptions`` tests a mode's
+    own formulas.
     """
     load, cum_rate, b1, _ = _components(model)
     if model.servers == 1:

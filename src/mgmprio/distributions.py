@@ -6,8 +6,11 @@ the same law.  Both live here so they cannot drift apart.  The variant set
 covers squared coefficients of variation below one (Deterministic, Erlang,
 Uniform), equal to one (Exponential) and above one (HyperExponential).
 
-Sampling is inverse-transform on uniforms pulled one at a time from a
-RandomStream, so seeded runs reproduce bit-identical variate sequences.
+Sampling is inverse-transform on uniforms read from a RandomStream in
+numpy blocks.  Each law has one sampling path, ``sample_block``; ``sample``
+is a block of one, and a block of ``n`` consumes the stream exactly as
+``n`` single draws would and gives the same bits, so seeded runs reproduce
+bit-identical variate sequences however the draws are split into blocks.
 Each law checks when built that its parameters and moments pass
 :func:`require_finite`, the validity rule shared by all model and run inputs.
 """
@@ -15,6 +18,9 @@ Each law checks when built that its parameters and moments pass
 import math
 import re
 from dataclasses import dataclass
+from itertools import accumulate
+
+import numpy as np
 
 _PROB_SUM_TOL = 1e-12
 # each Erlang variate costs ``shape`` uniforms; the squared coefficient of
@@ -52,16 +58,27 @@ class ServiceDistribution:
 
     def sample(self, stream) -> float:
         """Draw one variate, consuming uniforms from ``stream``."""
-        raise NotImplementedError
+        return float(self.sample_block(stream, 1)[0])
+
+    def sample_block(self, stream, n: int) -> np.ndarray:
+        """Draw ``n`` variates as a float64 array, as ``n`` calls of :meth:`sample` would.
+
+        The package's laws override this; a law defined elsewhere may
+        override :meth:`sample` alone and inherit this loop over it.
+        """
+        if type(self).sample is ServiceDistribution.sample:
+            raise NotImplementedError(f"{type(self).__name__} defines neither sample nor sample_block")
+        return np.array([self.sample(stream) for _ in range(n)], dtype=np.float64)
 
     def spec(self) -> str:
         """Textual form accepted by :func:`parse_distribution`."""
         raise NotImplementedError
 
 
-def _exp_variate(rate: float, stream) -> float:
-    # inverse transform; 1 - u lies in (0, 1] so the log stays finite
-    return -math.log(1.0 - stream.uniform()) / rate
+def _exponentials(uniforms: np.ndarray, rate) -> np.ndarray:
+    """Exponential variates of ``rate`` (a number or an array) by inverse transform."""
+    # 1 - u lies in (0, 1] so the log stays finite
+    return np.log(1.0 - uniforms) / -rate
 
 
 @dataclass(frozen=True)
@@ -78,8 +95,8 @@ class Exponential(ServiceDistribution):
     def second_moment(self) -> float:
         return _quotient(2.0, self.rate * self.rate)
 
-    def sample(self, stream) -> float:
-        return _exp_variate(self.rate, stream)
+    def sample_block(self, stream, n: int) -> np.ndarray:
+        return _exponentials(stream.uniforms(n), self.rate)
 
     def spec(self) -> str:
         return f"exp({self.rate!r})"
@@ -99,9 +116,9 @@ class Deterministic(ServiceDistribution):
     def second_moment(self) -> float:
         return self.value * self.value
 
-    def sample(self, stream) -> float:
+    def sample_block(self, stream, n: int) -> np.ndarray:
         # consumes no uniforms
-        return self.value
+        return np.full(n, self.value)
 
     def spec(self) -> str:
         return f"det({self.value!r})"
@@ -126,10 +143,13 @@ class Erlang(ServiceDistribution):
     def second_moment(self) -> float:
         return _quotient(self.shape * (self.shape + 1), self.rate * self.rate)
 
-    def sample(self, stream) -> float:
-        total = 0.0
-        for _ in range(self.shape):
-            total += _exp_variate(self.rate, stream)
+    def sample_block(self, stream, n: int) -> np.ndarray:
+        # row j holds variate j's stages; summing column by column from zero
+        # adds each variate's stages in draw order
+        stages = _exponentials(stream.uniforms(n * self.shape).reshape(n, self.shape), self.rate)
+        total = np.zeros(n)
+        for column in stages.T:
+            total += column
         return total
 
     def spec(self) -> str:
@@ -161,16 +181,15 @@ class HyperExponential(ServiceDistribution):
     def second_moment(self) -> float:
         return math.fsum(_quotient(p * 2.0, r * r) for p, r in self.branches)
 
-    def sample(self, stream) -> float:
-        u = stream.uniform()
-        acc = 0.0
-        rate = self.branches[-1][1]  # guards against acc < 1 from rounding
-        for p, r in self.branches:
-            acc += p
-            if u < acc:
-                rate = r
-                break
-        return _exp_variate(rate, stream)
+    def sample_block(self, stream, n: int) -> np.ndarray:
+        # each variate takes a branch uniform, then its exponential's uniform
+        u = stream.uniforms(2 * n).reshape(n, 2)
+        bounds = list(accumulate(p for p, _ in self.branches))
+        # the first branch whose running probability exceeds u; the last
+        # one when rounding leaves the total below u
+        branch = np.minimum(np.searchsorted(bounds, u[:, 0], side="right"), len(self.branches) - 1)
+        rates = np.array([r for _, r in self.branches])[branch]
+        return _exponentials(u[:, 1], rates)
 
     def spec(self) -> str:
         inner = ",".join(f"{p!r}:{r!r}" for p, r in self.branches)
@@ -195,8 +214,8 @@ class Uniform(ServiceDistribution):
     def second_moment(self) -> float:
         return (self.lo * self.lo + self.lo * self.hi + self.hi * self.hi) / 3.0
 
-    def sample(self, stream) -> float:
-        return self.lo + (self.hi - self.lo) * stream.uniform()
+    def sample_block(self, stream, n: int) -> np.ndarray:
+        return self.lo + (self.hi - self.lo) * stream.uniforms(n)
 
     def spec(self) -> str:
         return f"uniform({self.lo!r},{self.hi!r})"

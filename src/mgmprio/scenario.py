@@ -5,10 +5,11 @@ Grammar, one directive per line::
     servers <m>
     class lambda=<rate> service=<dist-spec>
 
-Classes are listed in priority order, highest first.  Blank lines are
-skipped and ``#`` starts a comment (full-line or trailing).  Distribution
-specs follow :func:`mgmprio.distributions.parse_distribution` and must not
-contain whitespace.  Parse errors carry the 1-based line number.
+Each key appears exactly once on a class line.  Classes are listed in
+priority order, highest first.  Blank lines are skipped and ``#`` starts a
+comment (full-line or trailing).  Distribution specs follow
+:func:`mgmprio.distributions.parse_distribution` and must not contain
+whitespace.  Parse errors carry the 1-based line number.
 """
 
 from dataclasses import dataclass
@@ -44,6 +45,8 @@ def _class_spec(tokens: list[str]) -> ClassSpec:
             raise ValueError(f"expected key=value, got {token!r}")
         if key not in ("lambda", "service"):
             raise ValueError(f"unknown key {key!r}")
+        if key in values:
+            raise ValueError(f"repeated key {key}=")
         values[key] = value
     for key in ("lambda", "service"):
         if key not in values:

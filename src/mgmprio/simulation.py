@@ -2,10 +2,13 @@
 
 Scheduling semantics, in full:
 
-* Arrivals per class form independent Poisson streams.  A job's service
-  requirement is drawn when the job is generated, from the class's own
-  sub-stream, so the sampled workload depends only on the seed and never on
+* Arrivals per class form independent Poisson streams.  Each class draws
+  its inter-arrival gaps and its service requirements from two sub-streams
+  of its own, so the sampled workload depends only on the seed and never on
   the queueing policy (common random numbers across policy comparisons).
+  Both are drawn ahead in blocks of ``_BLOCK`` jobs; since every stream
+  feeds one class and one purpose in order, the block size is not
+  observable.
 * An arrival first takes an idle server (the lowest-indexed one when
   several are idle).  Failing that, if some in-service job has a class
   index >= the arrival's (strictly > when ``equal_class_preemption`` is
@@ -36,8 +39,11 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
+from itertools import chain
 
-from .distributions import _exp_variate, require_finite
+import numpy as np
+
+from .distributions import _exponentials, require_finite
 from .model import SystemModel
 from .streams import substreams
 
@@ -57,6 +63,8 @@ __all__ = [
 
 _COMPLETION = 0
 _ARRIVAL = 1
+# jobs per class whose arrival times and service requirements are drawn at once
+_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -207,6 +215,23 @@ class _Job:
         self.counted = counted
 
 
+def _class_jobs(rate: float, service, arrival_stream, service_stream):
+    """Yield one class's jobs as blocks of (arrival time, service requirement) pairs.
+
+    Arrival times are the running sum of the exponential gaps, carried from
+    one block to the next, so each time is the previous one plus its gap.
+    """
+    last = 0.0
+    while True:
+        # a subnormal rate overflows a gap to inf: the class stops arriving
+        with np.errstate(over="ignore"):
+            gaps = _exponentials(arrival_stream.uniforms(_BLOCK), rate)
+        gaps[0] += last
+        times = np.cumsum(gaps)
+        last = times[-1]
+        yield zip(times.tolist(), service.sample_block(service_stream, _BLOCK).tolist())
+
+
 def run(model: SystemModel, policy: PolicyConfig, cfg) -> RunResult:
     """Simulate one run; ``cfg`` is a RunConfig or a TraceInput."""
     if not isinstance(cfg, (RunConfig, TraceInput)):
@@ -237,22 +262,23 @@ def run(model: SystemModel, policy: PolicyConfig, cfg) -> RunResult:
 
     if stochastic:
         streams = substreams(cfg.seed, 2 * n_classes)
-        rates = [c.arrival_rate for c in model.classes]
-        services = [c.service for c in model.classes]
+        pending = [
+            chain.from_iterable(_class_jobs(c.arrival_rate, c.service, streams[2 * k], streams[2 * k + 1]))
+            for k, c in enumerate(model.classes)
+        ]
         warmup = cfg.warmup_time
         target = cfg.target_completions
         horizon = cfg.max_simulated_time
         arr_seq = 0
 
-        def schedule_arrival(k: int, t_from: float):
+        def schedule_arrival(k: int):
             nonlocal arr_seq
-            t = t_from + _exp_variate(rates[k], streams[2 * k])
-            job = _Job(k + 1, t, services[k].sample(streams[2 * k + 1]), t > warmup)
-            heappush(events, (t, _ARRIVAL, arr_seq, job))
+            t, service = next(pending[k])
+            heappush(events, (t, _ARRIVAL, arr_seq, _Job(k + 1, t, service, t > warmup)))
             arr_seq += 1
 
         for k in range(n_classes):
-            schedule_arrival(k, 0.0)
+            schedule_arrival(k)
     else:
         horizon = math.inf
         target = None
@@ -310,7 +336,7 @@ def run(model: SystemModel, policy: PolicyConfig, cfg) -> RunResult:
             job = ev[3]
             cls = job.cls
             if stochastic:
-                schedule_arrival(cls - 1, now)
+                schedule_arrival(cls - 1)
             if idle:
                 place(job, heappop(idle))
             else:

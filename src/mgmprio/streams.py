@@ -6,38 +6,31 @@ Streams are backed by numpy's PCG64 bit generator.  Independent sub-streams
 are derived with SeedSequence.spawn, whose children are collision-resistant
 by construction; sub-stream k of seed s is always child k of
 SeedSequence(s), so the derivation is stable across runs and platforms.
+
+A stream emits one sequence of doubles whether it is read one at a time
+with :meth:`RandomStream.uniform` or in blocks with
+:meth:`RandomStream.uniforms`, so how a caller splits its reads is not
+observable.
 """
 
 import numpy as np
 
-_BLOCK = 4096
-
 
 class RandomStream:
-    """Buffered source of uniform(0, 1) doubles.
+    """Source of uniform(0, 1) doubles; consume it from a single thread."""
 
-    The emitted sequence depends only on the seed material passed at
-    construction; internal buffering is not observable.  A stream must be
-    consumed from a single thread.
-    """
-
-    __slots__ = ("_gen", "_buf", "_pos")
+    __slots__ = ("_gen",)
 
     def __init__(self, seed):
         self._gen = np.random.Generator(np.random.PCG64(seed))
-        self._buf = ()
-        self._pos = 0
 
     def uniform(self) -> float:
         """Return the next uniform(0, 1) double."""
-        if self._pos >= len(self._buf):
-            # tolist() yields plain Python floats, which keeps the hot
-            # per-variate path free of numpy scalar overhead
-            self._buf = self._gen.random(_BLOCK).tolist()
-            self._pos = 0
-        u = self._buf[self._pos]
-        self._pos += 1
-        return u
+        return self._gen.random()
+
+    def uniforms(self, n: int) -> np.ndarray:
+        """Return the next ``n`` uniform(0, 1) doubles as a float64 array."""
+        return self._gen.random(n)
 
 
 def substreams(seed: int, n: int) -> list[RandomStream]:

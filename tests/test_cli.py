@@ -280,3 +280,16 @@ def test_console_script_target_runs_without_install():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[0] == ANALYTIC_CSV_HEADER
+
+
+def test_python_dash_m_runs_without_install(capsys):
+    package_root = Path(mgmprio.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-m", "mgmprio", "analytic", "--config", PAPER_S4_CFG],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(package_root)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, out, _ = run_cli(capsys, "analytic", "--config", PAPER_S4_CFG)
+    assert code == 0
+    assert proc.stdout == out

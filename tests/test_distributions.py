@@ -32,8 +32,8 @@ VARIANTS = [
 
 
 def draw(dist, seed, n):
-    stream = substreams(seed, 1)[0]
-    return np.array([dist.sample(stream) for _ in range(n)])
+    # one block; test_block_equals_repeated_single_draws ties it to n single draws
+    return dist.sample_block(substreams(seed, 1)[0], n)
 
 
 def test_exponential_moments():
@@ -121,13 +121,46 @@ def test_substreams_are_mutually_distinct():
 
 
 def test_stream_follows_documented_derivation():
-    # sub-stream k of seed s is PCG64 seeded with child k of SeedSequence(s);
-    # 5000 draws also crosses the internal buffer boundary
+    # sub-stream k of seed s is PCG64 seeded with child k of SeedSequence(s),
+    # read in one sequence however single and block reads are mixed
     child = np.random.SeedSequence(42).spawn(3)[1]
-    expected = np.random.Generator(np.random.PCG64(child)).random(5000)
+    expected = np.random.Generator(np.random.PCG64(child)).random(10_000)
     stream = substreams(42, 3)[1]
     got = [stream.uniform() for _ in range(5000)]
+    for k in (1, 0, 7, 1024, 3, 2000):
+        got.append(stream.uniform())
+        got.extend(stream.uniforms(k).tolist())
+    got.extend(stream.uniform() for _ in range(10_000 - len(got)))
     assert got == expected.tolist()
+
+
+class _Pareto(ServiceDistribution):
+    """A law defined outside the package that overrides ``sample`` alone."""
+
+    shape = 3.0
+
+    def mean(self):
+        return self.shape / (self.shape - 1.0)
+
+    def second_moment(self):
+        return self.shape / (self.shape - 2.0)
+
+    def sample(self, stream):
+        return (1.0 - stream.uniform()) ** (-1.0 / self.shape)
+
+    def spec(self):
+        return "pareto(3)"
+
+
+@pytest.mark.parametrize("n", [1, 5, 1500])
+@pytest.mark.parametrize("dist", [*VARIANTS, _Pareto()], ids=lambda d: d.spec())
+def test_block_equals_repeated_single_draws(dist, n):
+    a, b = substreams(17, 1)[0], substreams(17, 1)[0]
+    block = dist.sample_block(a, n)
+    assert block.dtype == np.float64 and block.shape == (n,)
+    assert block.tolist() == [dist.sample(b) for _ in range(n)]
+    # both streams consumed the same uniforms
+    assert a.uniform() == b.uniform()
 
 
 class _InfiniteSecondMoment(ServiceDistribution):
@@ -141,6 +174,11 @@ class _InfiniteSecondMoment(ServiceDistribution):
 
     def spec(self):
         return "pareto(2)"
+
+
+def test_law_defining_no_sampling_path_refuses_to_sample():
+    with pytest.raises(NotImplementedError):
+        _InfiniteSecondMoment().sample(substreams(1, 1)[0])
 
 
 @pytest.mark.parametrize(

@@ -81,6 +81,8 @@ def test_comments_and_blank_lines_are_ignored():
         ("servers 1\nclass service=exp(1)", 2, "missing lambda="),
         ("servers 1\nclass lambda=1 service=exp(1) weight=2", 2, "unknown key"),
         ("servers 1\nclass lambda=1 service exp(1)", 2, "key=value"),
+        ("servers 1\nclass lambda=0.1 lambda=0.2 service=exp(1)", 2, "repeated key lambda="),
+        ("servers 1\nclass lambda=0.1 service=exp(1) service=det(2)", 2, "repeated key service="),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, bad_line, fragment):

@@ -2,9 +2,11 @@
 
 import io
 import math
+import warnings
 
 import pytest
 
+import mgmprio.simulation
 from mgmprio import (
     ClassSpec,
     Deterministic,
@@ -12,6 +14,7 @@ from mgmprio import (
     JOB_RECORD_CSV_HEADER,
     PolicyConfig,
     RunConfig,
+    ServiceDistribution,
     SystemModel,
     TraceInput,
     per_class_raw,
@@ -283,6 +286,49 @@ def test_runs_are_deterministic():
     completions = [r.completion_time for r in a.records]
     assert completions == sorted(completions)
     assert run(model, LIFO, RunConfig(seed=22, target_completions=2000, warmup_time=20.0)).records != a.records
+
+
+class _ShiftedExponential(ServiceDistribution):
+    """A law defined outside the package that overrides ``sample`` alone."""
+
+    def mean(self):
+        return 0.25 + 1.0 / 4.0
+
+    def second_moment(self):
+        return 0.25**2 + 2.0 * 0.25 / 4.0 + 2.0 / 4.0**2
+
+    def sample(self, stream):
+        return 0.25 - math.log(1.0 - stream.uniform()) / 4.0
+
+    def spec(self):
+        return "shifted-exp(0.25,4)"
+
+
+@pytest.mark.parametrize(
+    "model, policy",
+    [
+        (PAPER_S4, LIFO),
+        (PAPER_S4, PolicyConfig(within_class_order="fifo", equal_class_preemption=False)),
+        (SystemModel(1, [ClassSpec(0.7, Deterministic(1.0))]), LIFO),
+        (SystemModel(2, [ClassSpec(0.8, _ShiftedExponential()), ClassSpec(1.0, Exponential(1.0))]), LIFO),
+    ],
+    ids=["s4-lifo", "s4-fifo-strict", "md1", "outside-law"],
+)
+def test_block_size_is_not_observable(model, policy, monkeypatch):
+    cfg = RunConfig(seed=31, target_completions=3000, warmup_time=20.0)
+    default = run(model, policy, cfg)
+    for block in (1, 3):
+        monkeypatch.setattr(mgmprio.simulation, "_BLOCK", block)
+        assert run(model, policy, cfg).records == default.records
+
+
+def test_subnormal_arrival_rate_runs_without_warnings():
+    # every gap of class 2 overflows to inf, so it never arrives
+    model = SystemModel(1, [ClassSpec(1.0, Exponential(2.0)), ClassSpec(5e-324, Exponential(1.0))])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = run(model, LIFO, RunConfig(seed=3, target_completions=200, warmup_time=1.0))
+    assert {r.class_index for r in result.records} == {1}
 
 
 def test_warmup_excludes_early_arrivals():
