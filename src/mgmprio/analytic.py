@@ -34,6 +34,7 @@ preemptive, so lower classes are invisible to higher ones).
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -91,11 +92,8 @@ class LoadProfile:
 
 def loads(model: SystemModel) -> LoadProfile:
     """Cumulative rates ``sum(lambda_j)`` and loads ``sum(lambda_j b_j) / m``."""
-    rates = [c.arrival_rate for c in model.classes]
-    work = [c.arrival_rate * c.service.mean() for c in model.classes]
-    cumulative_rate = np.concatenate(([0.0], np.cumsum(rates)))
-    load = np.concatenate(([0.0], np.cumsum(work))) / model.servers
-    return LoadProfile(cumulative_rate=cumulative_rate, load=load)
+    load, cum_rate, _, _ = _components(model)
+    return LoadProfile(cumulative_rate=np.array(cum_rate), load=np.array(load))
 
 
 @dataclass(frozen=True)
@@ -117,9 +115,9 @@ class ClassMetrics:
 
 def _components(model: SystemModel):
     """Shared per-class inputs: loads, cumulative rates, moments, prefix sums."""
-    prof = loads(model)
-    load = [float(x) for x in prof.load]
-    cum_rate = [float(x) for x in prof.cumulative_rate]
+    work = accumulate((c.arrival_rate * c.service.mean() for c in model.classes), initial=0.0)
+    load = [x / model.servers for x in work]
+    cum_rate = list(accumulate((c.arrival_rate for c in model.classes), initial=0.0))
     b1 = [c.service.mean() for c in model.classes]
     b2 = [c.service.second_moment() for c in model.classes]
     # prefix[i] = sum over classes 1..i of lambda_j * second moment_j

@@ -15,6 +15,7 @@ precision and, for a fixed seed, is byte-stable across invocations.
 
 import argparse
 import math
+import os
 import sys
 
 from .analytic import approx_metrics, exact_mmm_identical, exact_single_channel
@@ -217,4 +218,12 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe; point stdout at devnull so that the
+        # flush at interpreter shutdown does not raise a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)

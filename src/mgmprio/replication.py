@@ -74,12 +74,48 @@ class SimulationReport:
     metadata: ReplicationMetadata
 
 
-def _t_half_width(values: list[float], student_t) -> float:
+def _t975(df: int) -> float:
+    """The 0.975 quantile of Student's t with ``df`` >= 1 degrees of freedom.
+
+    Newton's method on the two-sided mass A(t) = P(|T| <= t) = 0.95, with A
+    in closed form for integer ``df`` (Abramowitz & Stegun 26.7.3-26.7.4).
+    A is concave for t > 0 and the start, the normal 0.975 quantile, lies
+    below every t quantile, so the iterates rise monotonically; the loop
+    ends when they stop rising.
+    """
+    nu = float(df)
+    log_density_scale = math.lgamma((nu + 1) / 2) - math.lgamma(nu / 2) - 0.5 * math.log(nu * math.pi)
+    t = 1.9599639845400536
+    while True:
+        c2 = nu / (nu + t * t)  # cos^2 of atan(t / sqrt(df))
+        series, term = 0.0, 1.0
+        for j in range(1 + df % 2, df, 2):
+            series += term
+            term *= c2 * j / (j + 1)
+        if df % 2:
+            mass = 2 / math.pi * (math.atan(t / math.sqrt(nu)) + t * math.sqrt(nu) / (nu + t * t) * series)
+        else:
+            mass = t / math.sqrt(nu + t * t) * series
+        density = math.exp(log_density_scale - (nu + 1) / 2 * math.log1p(t * t / nu))
+        step = (0.95 - mass) / (2 * density)
+        if t + step <= t:
+            return t
+        t += step
+
+
+def _t_half_width(values: list[float], quantiles: dict[int, float]) -> float:
+    """95 percent half-width of the mean of ``values``.
+
+    ``quantiles`` caches the t quantile by replication count, so a
+    ``replicate`` call evaluates it once for each distinct count.
+    """
     n = len(values)
     if n < 2:
         return 0.0
+    if n not in quantiles:
+        quantiles[n] = _t975(n - 1)
     sd = float(np.std(values, ddof=1))
-    return float(student_t.ppf(0.975, n - 1)) * sd / math.sqrt(n)
+    return quantiles[n] * sd / math.sqrt(n)
 
 
 def rep_seeds(base_seed: int, n_reps: int) -> tuple[int, ...]:
@@ -97,9 +133,6 @@ def replicate(model: SystemModel, policy: PolicyConfig, base_cfg, n_reps: int) -
     """
     if n_reps < 1:
         raise ValueError("n_reps must be at least 1")
-    # most of the package's import time, so loaded only here, before the timer
-    from scipy.stats import t as student_t
-
     started = time.perf_counter()
     if isinstance(base_cfg, RunConfig):
         seeds = rep_seeds(base_cfg.seed, n_reps)
@@ -131,6 +164,7 @@ def replicate(model: SystemModel, policy: PolicyConfig, base_cfg, n_reps: int) -
                     per_metric[name].append(value)
 
     classes: dict[int, dict[str, ClassEstimate]] = {}
+    quantiles: dict[int, float] = {}
     for cls in sorted(samples):
         row = {}
         for name in METRIC_NAMES:
@@ -138,7 +172,7 @@ def replicate(model: SystemModel, policy: PolicyConfig, base_cfg, n_reps: int) -
             row[name] = ClassEstimate(
                 metric=name,
                 estimate=math.fsum(values) / len(values) if values else None,
-                ci_half_width=_t_half_width(values, student_t) if values else None,
+                ci_half_width=_t_half_width(values, quantiles) if values else None,
                 replications=len(values),
             )
         classes[cls] = row

@@ -357,12 +357,11 @@ def run(model: SystemModel, policy: PolicyConfig, cfg) -> RunResult:
                     victim.remaining -= now - server_start[best]
                     victim.suspended_at = now
                     server_token[best] = 0
-                    heappush(pool, (victim.cls, -victim.arrival if lifo else victim.arrival, pool_seq, victim))
-                    pool_seq += 1
                     place(job, best)
-                else:
-                    heappush(pool, (cls, -job.arrival if lifo else job.arrival, pool_seq, job))
-                    pool_seq += 1
+                    job = victim
+                # the displaced victim, or the arrival that found no server
+                heappush(pool, (job.cls, -job.arrival if lifo else job.arrival, pool_seq, job))
+                pool_seq += 1
         assert not pool or not idle, "work conservation violated: idle server with waiting jobs"
 
     return RunResult(

@@ -134,10 +134,15 @@ def test_bad_mode_value_exits_one(capsys):
 
 
 def test_analytic_does_not_import_scipy_stats():
-    # scipy.stats is most of the package's import time and only intervals need it
-    code = ("import sys, mgmprio, mgmprio.cli; "
-            f"assert mgmprio.cli.main(['analytic', '--config', {MD1_CFG!r}]) == 0; "
-            "assert 'scipy.stats' not in sys.modules")
+    # scipy would cost about a second and 70 MB per process; no subcommand needs it
+    sim = ["--jobs", "200", "--reps", "3"]
+    runs = [["analytic", "--config", MD1_CFG], ["simulate", "--config", MD1_CFG, *sim],
+            ["compare", "--config", MD1_CFG, *sim]]
+    code = ("import sys, mgmprio.cli\n"
+            f"for argv in {runs!r}:\n"
+            "    assert mgmprio.cli.main(argv) == 0, argv\n"
+            "loaded = [name for name in sys.modules if name.split('.')[0] == 'scipy']\n"
+            "assert not loaded, loaded\n")
     package_root = Path(mgmprio.__file__).resolve().parent.parent
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
                           env={**os.environ, "PYTHONPATH": str(package_root)})
@@ -280,6 +285,23 @@ def test_console_script_target_runs_without_install():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[0] == ANALYTIC_CSV_HEADER
+
+
+@pytest.mark.parametrize("command", ["analytic", "simulate", "compare"])
+def test_closed_stdout_exits_one_without_traceback(command):
+    sim = [] if command == "analytic" else ["--jobs", "2000", "--reps", "2"]
+    package_root = Path(mgmprio.__file__).resolve().parent.parent
+    # stdout buffered, as by default, so the failing write may come as late as the final flush
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "mgmprio", command, "--config", PAPER_S4_CFG, *sim],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env={**env, "PYTHONPATH": str(package_root)},
+    )
+    proc.stdout.close()  # the child is still starting up, so every write it makes fails
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1, err
+    assert "Traceback" not in err
 
 
 def test_python_dash_m_runs_without_install(capsys):

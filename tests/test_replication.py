@@ -20,6 +20,7 @@ from mgmprio import (
     replicate,
     run,
 )
+from mgmprio import replication
 from mgmprio.replication import METRIC_NAMES, rep_seeds
 
 MM3 = SystemModel(3, [ClassSpec(1.0, Exponential(2.0)) for _ in range(3)])
@@ -121,6 +122,29 @@ def test_half_widths_shrink_like_root_n():
         assert hw_large < hw_small
         ratio = (hw_small / t_small) / (hw_large / t_large)
         assert 1.6 <= ratio <= 2.5
+
+
+def test_t975_matches_scipy_quantile():
+    for df in [*range(1, 1001), 10_000]:
+        expected = sps.t.ppf(0.975, df)
+        assert abs(replication._t975(df) - expected) <= 1e-12 * expected, df
+
+
+def test_quantile_evaluated_once_per_distinct_replication_count(monkeypatch):
+    calls = []
+    t975 = replication._t975
+
+    def counting_t975(df):
+        calls.append(df)
+        return t975(df)
+
+    monkeypatch.setattr(replication, "_t975", counting_t975)
+    # 40 jobs per rep leave some class-metric pairs unobserved in some reps
+    report = replicate(FOUR_CLASS, LIFO, RunConfig(seed=3, target_completions=40, warmup_time=0.0), 6)
+    counts = [est.replications for row in report.classes.values() for est in row.values()]
+    distinct = {n for n in counts if n > 1}
+    assert sorted(calls) == sorted(n - 1 for n in distinct)
+    assert len(distinct) > 1
 
 
 def test_exact_oracle_covered_on_identical_exponential_model():
