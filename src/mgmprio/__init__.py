@@ -9,7 +9,10 @@ discrete-event simulator with the same semantics for validating them, and
 replication statistics to compare the two.
 """
 
+from importlib import import_module
+
 from .analytic import (
+    METRIC_NAMES,
     ClassMetrics,
     IdentityResiduals,
     LoadProfile,
@@ -30,30 +33,46 @@ from .distributions import (
     parse_distribution,
 )
 from .model import ClassSpec, DomainError, SystemModel
-from .replication import (
-    METRIC_NAMES,
-    ClassEstimate,
-    ComparisonRow,
-    ReplicationMetadata,
-    SimulationReport,
-    compare,
-    replicate,
-)
 from .scenario import Scenario, ScenarioError, parse_scenario, render_scenario
-from .simulation import (
-    JOB_RECORD_CSV_HEADER,
-    JobLog,
-    JobRecord,
-    PolicyConfig,
-    RawClassStats,
-    RunConfig,
-    RunResult,
-    TraceInput,
-    per_class_raw,
-    run,
-    write_job_records,
-)
-from .streams import RandomStream, substreams
+
+# The simulating modules import numpy, which costs several times the rest of
+# the package; their names load on first access (PEP 562), so the closed
+# forms and the scenario parser never pay for it.
+_LAZY = {
+    "ClassEstimate": "replication",
+    "ComparisonRow": "replication",
+    "ReplicationMetadata": "replication",
+    "SimulationReport": "replication",
+    "compare": "replication",
+    "replicate": "replication",
+    "JOB_RECORD_CSV_HEADER": "simulation",
+    "JobLog": "simulation",
+    "JobRecord": "simulation",
+    "PolicyConfig": "simulation",
+    "RawClassStats": "simulation",
+    "RunConfig": "simulation",
+    "RunResult": "simulation",
+    "TraceInput": "simulation",
+    "per_class_raw": "simulation",
+    "run": "simulation",
+    "write_job_records": "simulation",
+    "RandomStream": "streams",
+    "substreams": "streams",
+}
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))
+
 
 __version__ = "0.1.0"
 

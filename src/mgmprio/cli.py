@@ -18,11 +18,9 @@ import math
 import os
 import sys
 
-from .analytic import approx_metrics, exact_mmm_identical, exact_single_channel
+from .analytic import METRIC_NAMES, approx_metrics, exact_mmm_identical, exact_single_channel
 from .model import DomainError
-from .replication import METRIC_NAMES, compare, replicate
 from .scenario import ScenarioError, parse_scenario
-from .simulation import PolicyConfig, RunConfig
 
 __all__ = ["main", "entry"]
 
@@ -198,6 +196,10 @@ def main(argv=None) -> int:
             for line in _analytic_lines(metrics, args.format):
                 print(line)
             return 0
+
+    # the simulator loads numpy; the analytic subcommand never needs it
+    from .replication import compare, replicate
+    from .simulation import PolicyConfig, RunConfig
 
     try:
         cfg = RunConfig(seed=args.seed, target_completions=args.jobs, warmup_time=args.warmup,

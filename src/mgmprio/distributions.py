@@ -13,14 +13,20 @@ is a block of one, and a block of ``n`` consumes the stream exactly as
 bit-identical variate sequences however the draws are split into blocks.
 Each law checks when built that its parameters and moments pass
 :func:`require_finite`, the validity rule shared by all model and run inputs.
+numpy is imported inside the sampling functions only, so building laws and
+reading their moments, all the closed-form side does, never loads it.
 """
+
+from __future__ import annotations
 
 import math
 import re
 from dataclasses import dataclass
 from itertools import accumulate
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 _PROB_SUM_TOL = 1e-12
 # each Erlang variate costs ``shape`` uniforms; the squared coefficient of
@@ -66,6 +72,8 @@ class ServiceDistribution:
         The package's laws override this; a law defined elsewhere may
         override :meth:`sample` alone and inherit this loop over it.
         """
+        import numpy as np
+
         if type(self).sample is ServiceDistribution.sample:
             raise NotImplementedError(f"{type(self).__name__} defines neither sample nor sample_block")
         return np.array([self.sample(stream) for _ in range(n)], dtype=np.float64)
@@ -77,6 +85,8 @@ class ServiceDistribution:
 
 def _exponentials(uniforms: np.ndarray, rate) -> np.ndarray:
     """Exponential variates of ``rate`` (a number or an array) by inverse transform."""
+    import numpy as np
+
     # 1 - u lies in (0, 1] so the log stays finite
     return np.log(1.0 - uniforms) / -rate
 
@@ -117,6 +127,8 @@ class Deterministic(ServiceDistribution):
         return self.value * self.value
 
     def sample_block(self, stream, n: int) -> np.ndarray:
+        import numpy as np
+
         # consumes no uniforms
         return np.full(n, self.value)
 
@@ -144,6 +156,8 @@ class Erlang(ServiceDistribution):
         return _quotient(self.shape * (self.shape + 1), self.rate * self.rate)
 
     def sample_block(self, stream, n: int) -> np.ndarray:
+        import numpy as np
+
         # row j holds variate j's stages; summing column by column from zero
         # adds each variate's stages in draw order
         stages = _exponentials(stream.uniforms(n * self.shape).reshape(n, self.shape), self.rate)
@@ -182,6 +196,8 @@ class HyperExponential(ServiceDistribution):
         return math.fsum(_quotient(p * 2.0, r * r) for p, r in self.branches)
 
     def sample_block(self, stream, n: int) -> np.ndarray:
+        import numpy as np
+
         # each variate takes a branch uniform, then its exponential's uniform
         u = stream.uniforms(2 * n).reshape(n, 2)
         bounds = list(accumulate(p for p, _ in self.branches))

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analytic import ClassMetrics
+from .analytic import METRIC_NAMES, ClassMetrics
 from .model import SystemModel
 from .simulation import PolicyConfig, RunConfig, per_class_raw, run
 
@@ -27,8 +27,6 @@ __all__ = [
     "replicate",
     "compare",
 ]
-
-METRIC_NAMES = ("p", "u", "h", "g", "w", "v")
 
 _RAW_ATTR = {
     "p": "delayed_fraction",

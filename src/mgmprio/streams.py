@@ -15,6 +15,8 @@ observable.
 
 import numpy as np
 
+__all__ = ["RandomStream", "substreams"]
+
 
 class RandomStream:
     """Source of uniform(0, 1) doubles; consume it from a single thread."""

@@ -8,6 +8,7 @@ must reproduce every entry in double precision.
 
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from mgmprio import (
@@ -116,8 +117,13 @@ def test_erlang_c_rejects_out_of_domain():
     for servers, load in [(1, 1.0), (3, 1.5), (2, -0.1), (0, 0.5), (-3, 0.5)]:
         with pytest.raises(DomainError):
             erlang_c(servers, load)
-    with pytest.raises(DomainError):
-        erlang_c(2.5, 0.5)
+    for servers in (2.5, 3.0):
+        with pytest.raises(DomainError):
+            erlang_c(servers, 0.5)
+
+
+def test_erlang_c_accepts_numpy_integer_servers():
+    assert erlang_c(np.int64(3), 2.0 / 3.0) == erlang_c(3, 2.0 / 3.0)
 
 
 # loads

@@ -149,6 +149,37 @@ def test_analytic_does_not_import_scipy_stats():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_analytic_path_does_not_import_numpy():
+    # numpy is most of a cold start; only simulating and variates need it
+    analytic = ["analytic", "--config", MD1_CFG]
+    code = ("import sys, mgmprio, mgmprio.cli\n"
+            f"model = mgmprio.parse_scenario(open({MD1_CFG!r}).read()).model\n"
+            "mgmprio.check_identities(mgmprio.approx_metrics(model), model)\n"
+            "mgmprio.check_identities(mgmprio.exact_single_channel(model), model)\n"
+            f"assert mgmprio.cli.main({analytic!r}) == 0\n"
+            f"assert mgmprio.cli.main({analytic + ['--format', 'csv']!r}) == 0\n"
+            f"sys.argv = ['mgmprio', *{analytic!r}]\n"
+            "try:\n"
+            "    mgmprio.cli.entry()\n"
+            "except SystemExit as exc:\n"
+            "    assert exc.code == 0, exc.code\n"
+            "assert 'numpy' not in sys.modules\n"
+            "assert mgmprio.cli.main(['simulate', '--config', "
+            f"{MD1_CFG!r}, '--jobs', '200', '--reps', '2']) == 0\n"
+            "assert 'numpy' in sys.modules\n")
+    package_root = Path(mgmprio.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(package_root)}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    # ``python -m mgmprio``; -X importtime names every module the process imports
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "mgmprio", "analytic", "--config", PAPER_S4_CFG],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    imported = [line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")]
+    assert "mgmprio.cli" in imported
+    assert not [name for name in imported if name.split(".")[0] == "numpy"]
+
+
 def test_help_exits_zero(capsys):
     assert run_cli(capsys, "--help")[0] == 0
 
@@ -256,6 +287,49 @@ def test_compare_default_mode_is_approx(capsys):
 
 
 # ---------------------------------------------------------------- packaging
+
+
+def test_package_names_resolve_lazily_to_their_definitions():
+    code = ("import importlib, sys, mgmprio\n"
+            "listed = set(dir(mgmprio))\n"
+            "assert set(mgmprio.__all__) <= listed, set(mgmprio.__all__) - listed\n"
+            "try:\n"
+            "    mgmprio.no_such_name\n"
+            "except AttributeError:\n"
+            "    pass\n"
+            "else:\n"
+            "    raise AssertionError('unknown attribute resolved')\n"
+            "namespace = {}\n"
+            "exec('from mgmprio import *', namespace)\n"
+            "assert set(mgmprio.__all__) <= set(namespace)\n"
+            "modules = [importlib.import_module('mgmprio.' + m) for m in\n"
+            "           ('analytic', 'distributions', 'model', 'scenario', 'streams', 'simulation', 'replication')]\n"
+            "for name in mgmprio.__all__:\n"
+            "    homes = [vars(m)[name] for m in modules if name in vars(m)]\n"
+            "    assert homes and all(h is getattr(mgmprio, name) is namespace[name] for h in homes), name\n"
+            "for m in modules[-3:]:\n"
+            "    assert set(m.__all__) <= set(mgmprio.__all__), (m.__name__, set(m.__all__) - set(mgmprio.__all__))\n")
+    package_root = Path(mgmprio.__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(package_root)})
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_patched_replication_run_intercepts_replicate(monkeypatch):
+    # a tracer wraps replication.run; the lazy package names must not bypass it
+    import mgmprio.replication
+
+    calls = []
+    inner = mgmprio.replication.run
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(mgmprio.replication, "run", counted)
+    model = parse_scenario(Path(MD1_CFG).read_text(encoding="utf-8")).model
+    mgmprio.replicate(model, mgmprio.PolicyConfig(), mgmprio.RunConfig(seed=1, target_completions=50), 3)
+    assert len(calls) == 3
 
 
 @pytest.mark.skipif(shutil.which("mgmprio") is None, reason="no mgmprio executable on PATH")
