@@ -8,7 +8,8 @@ Scheduling semantics, in full:
   the queueing policy (common random numbers across policy comparisons).
   Both are drawn ahead in blocks of ``_BLOCK`` jobs; since every stream
   feeds one class and one purpose in order, the block size is not
-  observable.
+  observable.  All classes' drawn arrivals are merged into one stream in
+  time order, so the event heap holds only completions.
 * An arrival first takes an idle server (the lowest-indexed one when
   several are idle).  Failing that, if some in-service job has a class
   index >= the arrival's (strictly > when ``equal_class_preemption`` is
@@ -20,11 +21,13 @@ Scheduling semantics, in full:
   yields the job with the smallest class index; within a class the most
   recently arrived job goes first under LIFO order (the earliest under
   FIFO), keyed by original arrival time, with remaining ties broken by
-  pool insertion order.  So the first job displaced is the last resumed.
-  A suspended job resumes with exactly the service time it had left.
-* Simultaneous events are processed completions first, then arrivals in
-  generation order.
-* No server idles while the pool is nonempty (asserted after every event).
+  pool insertion order.  So under LIFO, among jobs of one class with
+  distinct arrival times, the first displaced is the last resumed; jobs
+  with equal arrival times resume in the order they entered the pool.  A suspended job
+  resumes with exactly the service time it had left.
+* Simultaneous events are processed completions first, then arrivals:
+  a trace's in trace order, a stochastic run's in class order.
+* No server idles while the pool is nonempty (checked after every event).
 
 With a :class:`RunConfig`, only jobs arriving strictly after
 ``warmup_time`` are counted and the run stops once ``target_completions``
@@ -61,8 +64,6 @@ __all__ = [
     "write_job_records",
 ]
 
-_COMPLETION = 0
-_ARRIVAL = 1
 # jobs per class whose arrival times and service requirements are drawn at once
 _BLOCK = 1024
 
@@ -215,39 +216,64 @@ class _Job:
         self.counted = counted
 
 
-def _class_jobs(rate: float, service, arrival_stream, service_stream):
-    """Yield one class's jobs as blocks of (arrival time, service requirement) pairs.
+def _arrival_windows(model: SystemModel, seed: int):
+    """Yield all classes' arrivals in time order, as one zip of (time, class, service) per window.
 
-    Arrival times are the running sum of the exponential gaps, carried from
-    one block to the next, so each time is the previous one plus its gap.
+    Each class draws its gaps and services in blocks of ``_BLOCK`` jobs,
+    arrival times being the running sum of the gaps carried from one block
+    to the next.  A window ends at the smallest last-drawn time over the
+    classes, so every arrival up to it is known, and takes those arrivals
+    in time order, equal times in class order.
     """
-    last = 0.0
+    n_classes = len(model.classes)
+    streams = substreams(seed, 2 * n_classes)
+    times = [np.empty(0)] * n_classes
+    services = [None] * n_classes
+    start = [0] * n_classes
+    last = [0.0] * n_classes
     while True:
-        # a subnormal rate overflows a gap to inf: the class stops arriving
-        with np.errstate(over="ignore"):
-            gaps = _exponentials(arrival_stream.uniforms(_BLOCK), rate)
-        gaps[0] += last
-        times = np.cumsum(gaps)
-        last = times[-1]
-        yield zip(times.tolist(), service.sample_block(service_stream, _BLOCK).tolist())
+        for k, c in enumerate(model.classes):
+            if start[k] == len(times[k]):
+                # a subnormal rate overflows a gap to inf: the class stops arriving
+                with np.errstate(over="ignore"):
+                    gaps = _exponentials(streams[2 * k].uniforms(_BLOCK), c.arrival_rate)
+                gaps[0] += last[k]
+                times[k] = np.cumsum(gaps)
+                last[k] = times[k][-1]
+                services[k] = c.service.sample_block(streams[2 * k + 1], _BLOCK)
+                start[k] = 0
+        end = min(last)
+        t_parts, c_parts, s_parts = [], [], []
+        for k in range(n_classes):
+            stop = int(np.searchsorted(times[k], end, side="right"))
+            t_parts.append(times[k][start[k]:stop])
+            s_parts.append(services[k][start[k]:stop])
+            c_parts.append(np.full(stop - start[k], k + 1))
+            start[k] = stop
+        t = np.concatenate(t_parts)
+        c = np.concatenate(c_parts)
+        order = np.lexsort((c, t))
+        yield zip(t[order].tolist(), c[order].tolist(), np.concatenate(s_parts)[order].tolist())
 
 
 def run(model: SystemModel, policy: PolicyConfig, cfg) -> RunResult:
     """Simulate one run; ``cfg`` is a RunConfig or a TraceInput."""
     if not isinstance(cfg, (RunConfig, TraceInput)):
         raise TypeError(f"cfg must be RunConfig or TraceInput, got {type(cfg).__name__}")
-    stochastic = isinstance(cfg, RunConfig)
     n_classes = len(model.classes)
     m = model.servers
     lifo = policy.within_class_order == "lifo"
     # lowest class index an in-service job must have to be displaceable
     min_victim_delta = 0 if policy.equal_class_preemption else 1
 
+    # completions only, as (time, token, server)
     events: list = []
     pool: list = []
     idle = list(range(m))
     heapify(idle)
     server_job: list = [None] * m
+    # (-class, arrival, server) of each busy server's job: min() of them is the preferred victim
+    server_key: list = [None] * m
     server_token = [0] * m
     server_start = [0.0] * m
     token = 0
@@ -260,32 +286,20 @@ def run(model: SystemModel, policy: PolicyConfig, cfg) -> RunResult:
     truncated = False
     now = 0.0
 
-    if stochastic:
-        streams = substreams(cfg.seed, 2 * n_classes)
-        pending = [
-            chain.from_iterable(_class_jobs(c.arrival_rate, c.service, streams[2 * k], streams[2 * k + 1]))
-            for k, c in enumerate(model.classes)
-        ]
+    if isinstance(cfg, RunConfig):
+        arrivals = chain.from_iterable(_arrival_windows(model, cfg.seed))
         warmup = cfg.warmup_time
         target = cfg.target_completions
         horizon = cfg.max_simulated_time
-        arr_seq = 0
-
-        def schedule_arrival(k: int):
-            nonlocal arr_seq
-            t, service = next(pending[k])
-            heappush(events, (t, _ARRIVAL, arr_seq, _Job(k + 1, t, service, t > warmup)))
-            arr_seq += 1
-
-        for k in range(n_classes):
-            schedule_arrival(k)
     else:
-        horizon = math.inf
-        target = None
         for seq, (t, cls, service) in enumerate(cfg.arrivals):
             if cls > n_classes:
                 raise ValueError(f"trace entry {seq} names class {cls}, model has {n_classes}")
-            heappush(events, (t, _ARRIVAL, seq, _Job(cls, t, service, True)))
+        # class 0 marks the end of the trace
+        arrivals = chain(cfg.arrivals, [(math.inf, 0, 0.0)])
+        warmup = -math.inf
+        target = None
+        horizon = math.inf
 
     def place(job: _Job, sidx: int):
         """Start or resume ``job`` on server ``sidx`` at the current time."""
@@ -300,20 +314,21 @@ def run(model: SystemModel, policy: PolicyConfig, cfg) -> RunResult:
                 job.interruptions.append(seg)
             job.suspended_at = None
         server_job[sidx] = job
+        server_key[sidx] = (-job.cls, job.arrival, sidx)
         server_start[sidx] = now
         token += 1
         server_token[sidx] = token
-        heappush(events, (now + job.remaining, _COMPLETION, token, sidx))
+        heappush(events, (now + job.remaining, token, sidx))
 
-    while events:
-        ev = heappop(events)
-        now = ev[0]
-        if now > horizon:
-            truncated = True
-            break
-        if ev[1] == _COMPLETION:
-            sidx = ev[3]
-            if server_token[sidx] != ev[2]:
+    t_next, cls_next, service_next = next(arrivals)
+    while True:
+        # a completion goes before an arrival at the same time
+        if events and events[0][0] <= t_next:
+            now, tok, sidx = heappop(events)
+            if now > horizon:
+                truncated = True
+                break
+            if server_token[sidx] != tok:
                 continue  # stale: that job was displaced
             job = server_job[sidx]
             server_job[sidx] = None
@@ -333,26 +348,20 @@ def run(model: SystemModel, policy: PolicyConfig, cfg) -> RunResult:
             if target is not None and counted_done >= target:
                 break
         else:
-            job = ev[3]
-            cls = job.cls
-            if stochastic:
-                schedule_arrival(cls - 1)
+            if not cls_next:
+                break  # the trace is over and every job has completed
+            now = t_next
+            if now > horizon:
+                truncated = True
+                break
+            job = _Job(cls_next, now, service_next, now > warmup)
             if idle:
                 place(job, heappop(idle))
             else:
-                limit = cls + min_victim_delta
-                best = -1
-                for s in range(m):
-                    cand = server_job[s]
-                    if cand.cls < limit:
-                        continue
-                    if best < 0:
-                        best = s
-                    else:
-                        prev = server_job[best]
-                        if cand.cls > prev.cls or (cand.cls == prev.cls and cand.arrival < prev.arrival):
-                            best = s
-                if best >= 0:
+                # every server is busy, so every key is current
+                key = min(server_key)
+                if -key[0] >= cls_next + min_victim_delta:
+                    best = key[2]
                     victim = server_job[best]
                     victim.remaining -= now - server_start[best]
                     victim.suspended_at = now
@@ -362,7 +371,9 @@ def run(model: SystemModel, policy: PolicyConfig, cfg) -> RunResult:
                 # the displaced victim, or the arrival that found no server
                 heappush(pool, (job.cls, -job.arrival if lifo else job.arrival, pool_seq, job))
                 pool_seq += 1
-        assert not pool or not idle, "work conservation violated: idle server with waiting jobs"
+            t_next, cls_next, service_next = next(arrivals)
+        if pool and idle:
+            raise RuntimeError("work conservation violated: idle server with waiting jobs")
 
     return RunResult(
         records=log,

@@ -10,12 +10,13 @@ produced here and require the float implementation to reproduce them.
 
 It also keeps the record-by-record per-class reduction,
 :func:`reference_per_class_raw`, that the simulator's columnar
-``per_class_raw`` must match exactly.
+``per_class_raw`` must match exactly, and :func:`reference_lifo_trace`, a
+second simulator that shares no scheduling code with the package's.
 """
 
 import math
 from fractions import Fraction
-from math import factorial
+from math import factorial, inf
 
 from mgmprio import RawClassStats
 
@@ -168,3 +169,46 @@ def reference_per_class_raw(records, n_classes: int) -> dict[int, RawClassStats]
             interruption_mean=int_time / int_count if int_count else None,
         )
     return out
+
+
+def reference_lifo_trace(servers: int, trace) -> dict[tuple[int, float], tuple[float, float, int]]:
+    """(first start, completion, preemption count) of each job of a trace, keyed by (class, arrival).
+
+    Under LIFO with equal-class preemption the jobs in service are always
+    the ``servers`` best jobs in the system by ``(class, -arrival)``, so no
+    victim or resume rule is needed: after every event this recomputes
+    that set and charges a preemption to each job that left it unfinished.
+    Completions at one instant go before its arrivals, and arrivals enter
+    one at a time in trace order.  ``trace`` holds (time, class, service)
+    triples in time order with distinct (class, time) pairs; exact results
+    need exact arithmetic, such as multiples of a power of two.
+    """
+    remaining = [service for _, _, service in trace]
+    first = [None] * len(trace)
+    done = [None] * len(trace)
+    preemptions = [0] * len(trace)
+    present, serving = [], set()
+    now, arrived = 0.0, 0
+    while arrived < len(trace) or present:
+        next_done = min((now + remaining[j] for j in serving), default=inf)
+        next_arrival = trace[arrived][0] if arrived < len(trace) else inf
+        t = min(next_done, next_arrival)
+        for j in serving:
+            remaining[j] -= t - now
+        now = t
+        finished = [j for j in serving if remaining[j] == 0]
+        for j in finished:
+            done[j] = now
+            present.remove(j)
+            serving.remove(j)
+        if not finished:
+            present.append(arrived)
+            arrived += 1
+        best = set(sorted(present, key=lambda j: (trace[j][1], -trace[j][0]))[:servers])
+        for j in serving - best:
+            preemptions[j] += 1
+        for j in best - serving:
+            if first[j] is None:
+                first[j] = now
+        serving = best
+    return {(c, t): (first[j], done[j], preemptions[j]) for j, (t, c, _) in enumerate(trace)}

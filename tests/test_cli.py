@@ -1,5 +1,6 @@
 """Command-line behavior: dispatch, rendering, exit codes, determinism."""
 
+import ast
 import os
 import shutil
 import subprocess
@@ -389,3 +390,25 @@ def test_python_dash_m_runs_without_install(capsys):
     code, out, _ = run_cli(capsys, "analytic", "--config", PAPER_S4_CFG)
     assert code == 0
     assert proc.stdout == out
+
+
+def test_package_has_no_assert_statements():
+    # ``python -O`` strips assert statements, so every check must raise explicitly
+    package_dir = Path(mgmprio.__file__).resolve().parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package_dir.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert not found
+
+
+def test_simulate_runs_under_python_dash_o():
+    package_root = Path(mgmprio.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "mgmprio", "simulate", "--config", MD1_CFG, "--jobs", "200", "--reps", "2"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(package_root)},
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -5,6 +5,8 @@ import math
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mgmprio.simulation
 from mgmprio import (
@@ -21,7 +23,7 @@ from mgmprio import (
     run,
     write_job_records,
 )
-from oracles import reference_per_class_raw
+from oracles import reference_lifo_trace, reference_per_class_raw
 
 M1 = SystemModel(1, [ClassSpec(1.0, Exponential(1.0))])
 M1_TWO = SystemModel(1, [ClassSpec(1.0, Exponential(1.0)), ClassSpec(1.0, Exponential(1.0))])
@@ -84,6 +86,18 @@ def test_trace_fcfd_picks_earliest_arrived_victim():
     preemptor = by_arrival(result, 1.0)
     assert preemptor.first_start_time == 1.0
     assert preemptor.completion_time == 2.0
+
+
+def test_trace_victim_tie_goes_to_lower_server_index():
+    # two class-1 jobs hold both servers, and the one on server 1 ends first,
+    # so of the tied class-2 jobs X (first in the trace) resumes on server 1
+    # and Y on server 0; the class-1 arrival at 3 displaces Y
+    trace = TraceInput([(0.0, 1, 2.0), (0.0, 1, 1.0), (0.5, 2, 10.0), (0.5, 2, 10.0), (3.0, 1, 1.0)])
+    result = run(M2_TWO, LIFO, trace)
+    x, y = [r for r in result.records if r.class_index == 2]
+    assert (x.first_start_time, x.completion_time, x.preemption_count) == (1.0, 11.0, 0)
+    assert (y.first_start_time, y.completion_time, y.interruption_intervals) == (2.0, 13.0, (1.0,))
+    assert by_arrival(result, 3.0).completion_time == 4.0
 
 
 @pytest.mark.parametrize("policy", [LIFO, STRICT], ids=["equal-class-on", "equal-class-off"])
@@ -172,6 +186,44 @@ def test_suspended_jobs_resume_in_lifo_by_original_arrival():
     assert by_arrival(result, 2.0).completion_time == 12.0
     assert by_arrival(result, 1.0).completion_time == 21.0
     assert by_arrival(result, 0.0).completion_time == 30.0
+
+
+def test_equal_arrival_times_resume_in_pool_order():
+    # each arrival displaces the job before it; with one arrival time the pool
+    # falls back on insertion order, so the first displaced resumes first
+    trace = TraceInput([(0.0, 1, 1.0), (0.0, 1, 2.0), (0.0, 1, 3.0)])
+    result = run(M1, LIFO, trace)
+    completions = [(r.service_requirement, r.completion_time) for r in result.records]
+    assert completions == [(3.0, 3.0), (1.0, 4.0), (2.0, 6.0)]
+
+
+_EIGHTHS = st.integers(min_value=0, max_value=40).map(lambda k: k / 8)
+
+
+@st.composite
+def _lifo_traces(draw):
+    servers = draw(st.integers(min_value=1, max_value=4))
+    n_classes = draw(st.integers(min_value=1, max_value=4))
+    jobs = draw(st.lists(
+        st.tuples(_EIGHTHS, st.integers(min_value=1, max_value=n_classes), _EIGHTHS.map(lambda s: s + 0.125)),
+        max_size=25, unique_by=lambda job: (job[0], job[1]),
+    ))
+    # sorted by time alone, so jobs of one instant keep the drawn order across classes
+    return servers, n_classes, sorted(jobs, key=lambda job: job[0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_lifo_traces())
+def test_lifo_trace_matches_reference_simulator(case):
+    # times and services are multiples of 1/8, so both simulators compute exactly
+    servers, n_classes, jobs = case
+    model = SystemModel(servers, [ClassSpec(1.0, Exponential(1.0))] * n_classes)
+    result = run(model, LIFO, TraceInput(jobs))
+    engine = {
+        (r.class_index, r.arrival_time): (r.first_start_time, r.completion_time, r.preemption_count)
+        for r in result.records
+    }
+    assert engine == reference_lifo_trace(servers, jobs)
 
 
 def test_simultaneous_completion_processed_before_arrival():
@@ -311,8 +363,10 @@ class _ShiftedExponential(ServiceDistribution):
         (PAPER_S4, PolicyConfig(within_class_order="fifo", equal_class_preemption=False)),
         (SystemModel(1, [ClassSpec(0.7, Deterministic(1.0))]), LIFO),
         (SystemModel(2, [ClassSpec(0.8, _ShiftedExponential()), ClassSpec(1.0, Exponential(1.0))]), LIFO),
+        # a window ends with the fast class's block, part-way through the slow one's
+        (SystemModel(1, [ClassSpec(0.01, Exponential(1.0)), ClassSpec(10.0, Exponential(20.0))]), LIFO),
     ],
-    ids=["s4-lifo", "s4-fifo-strict", "md1", "outside-law"],
+    ids=["s4-lifo", "s4-fifo-strict", "md1", "outside-law", "slow-and-fast"],
 )
 def test_block_size_is_not_observable(model, policy, monkeypatch):
     cfg = RunConfig(seed=31, target_completions=3000, warmup_time=20.0)
