@@ -67,9 +67,9 @@ def main():
     print("Raw per-class aggregates (None = the event never occurred):")
     for cls, st in sorted(per_class_raw(result.records, model).items()):
         print(
-            f"  class {cls}: jobs {st.count}, sojourn {st.sojourn_mean:.4f}, "
-            f"wait {st.wait_mean:.4f}, delayed {st.delayed_fraction:.3f}, "
-            f"preemptions/job {st.preemption_mean:.3f}"
+            f"  class {cls}: jobs {st.count}, sojourn v {st.v:.4f}, "
+            f"wait w {st.w:.4f}, delayed p {st.p:.3f}, "
+            f"preemptions/job h {st.h:.3f}"
         )
 
     print("\nFirst counted jobs as CSV (write_job_records dumps them all):")

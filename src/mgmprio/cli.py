@@ -8,8 +8,8 @@ Subcommands::
 
 Exit status: 0 on success, 1 on usage or scenario-parse errors and on
 invalid values, non-finite ones included, 2 when the model is outside the
-requested mode's domain, 3 when a simulation was truncated by the time
-cap.  Tables round to 6 significant digits; CSV output keeps full double
+requested mode's domain, 3 when a simulation was truncated (by the time
+cap, or as no class arrives any more).  Tables round to 6 significant digits; CSV output keeps full double
 precision and, for a fixed seed, is byte-stable across invocations.
 """
 

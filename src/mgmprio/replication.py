@@ -28,26 +28,16 @@ __all__ = [
     "compare",
 ]
 
-_RAW_ATTR = {
-    "p": "delayed_fraction",
-    "u": "initial_delay_mean",
-    "h": "preemption_mean",
-    "g": "interruption_mean",
-    "w": "wait_mean",
-    "v": "sojourn_mean",
-}
-
 
 @dataclass(frozen=True)
 class ClassEstimate:
-    """Point estimate and 95 percent half-width for one class and metric.
+    """Point estimate and 95 percent half-width of one class's metric.
 
     ``replications`` counts the replications in which the metric was
     observable; the half-width is zero when only one contributed and None
     when, like the estimate, no replication observed the metric at all.
     """
 
-    metric: str
     estimate: float | None
     ci_half_width: float | None
     replications: int
@@ -55,10 +45,9 @@ class ClassEstimate:
 
 @dataclass(frozen=True)
 class ReplicationMetadata:
-    base_seed: int | None
-    rep_seeds: tuple[int, ...]
-    warmup_time: float | None
-    target_completions: int | None
+    """How a :func:`replicate` call ran: its seed, counted jobs per replication, time and truncation."""
+
+    base_seed: int
     completions_per_rep: tuple[int, ...]
     wall_clock_seconds: float
     truncated: bool
@@ -125,31 +114,19 @@ def rep_seeds(base_seed: int, n_reps: int) -> tuple[int, ...]:
 def replicate(model: SystemModel, policy: PolicyConfig, base_cfg, n_reps: int) -> SimulationReport:
     """Run ``n_reps`` independent replications and aggregate the estimates.
 
-    ``base_cfg`` is a RunConfig whose seed anchors the per-rep seeds, or a
-    TraceInput, in which case every replication replays the same trace
-    (useful for deterministic checks; the spread is then zero).
+    ``base_cfg`` is a RunConfig whose seed anchors the per-rep seeds
+    (:func:`rep_seeds`); any other type raises TypeError.
     """
+    if not isinstance(base_cfg, RunConfig):
+        raise TypeError(f"base_cfg must be a RunConfig, got {type(base_cfg).__name__}")
     if n_reps < 1:
         raise ValueError("n_reps must be at least 1")
     started = time.perf_counter()
-    if isinstance(base_cfg, RunConfig):
-        seeds = rep_seeds(base_cfg.seed, n_reps)
-        cfgs = [replace(base_cfg, seed=s) for s in seeds]
-        base_seed = base_cfg.seed
-        warmup = base_cfg.warmup_time
-        target = base_cfg.target_completions
-    else:  # a TraceInput; run rejects any other type
-        seeds = ()
-        cfgs = [base_cfg] * n_reps
-        base_seed = None
-        warmup = None
-        target = None
-
     truncated = False
     completions = []
     samples: dict[int, dict[str, list[float]]] = {}
-    for cfg in cfgs:
-        result = run(model, policy, cfg)
+    for seed in rep_seeds(base_cfg.seed, n_reps):
+        result = run(model, policy, replace(base_cfg, seed=seed))
         truncated = truncated or result.truncated
         completions.append(result.counted_completions)
         raw = per_class_raw(result.records, model)
@@ -157,7 +134,7 @@ def replicate(model: SystemModel, policy: PolicyConfig, base_cfg, n_reps: int) -
         for cls, stats_ in raw.items():
             per_metric = samples.setdefault(cls, {name: [] for name in METRIC_NAMES})
             for name in METRIC_NAMES:
-                value = getattr(stats_, _RAW_ATTR[name])
+                value = getattr(stats_, name)
                 if value is not None:
                     per_metric[name].append(value)
 
@@ -168,7 +145,6 @@ def replicate(model: SystemModel, policy: PolicyConfig, base_cfg, n_reps: int) -
         for name in METRIC_NAMES:
             values = samples[cls][name]
             row[name] = ClassEstimate(
-                metric=name,
                 estimate=math.fsum(values) / len(values) if values else None,
                 ci_half_width=_t_half_width(values, quantiles) if values else None,
                 replications=len(values),
@@ -176,10 +152,7 @@ def replicate(model: SystemModel, policy: PolicyConfig, base_cfg, n_reps: int) -
         classes[cls] = row
 
     metadata = ReplicationMetadata(
-        base_seed=base_seed,
-        rep_seeds=seeds,
-        warmup_time=warmup,
-        target_completions=target,
+        base_seed=base_cfg.seed,
         completions_per_rep=tuple(completions),
         wall_clock_seconds=time.perf_counter() - started,
         truncated=truncated,

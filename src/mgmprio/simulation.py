@@ -32,8 +32,10 @@ Scheduling semantics, in full:
 With a :class:`RunConfig`, only jobs arriving strictly after
 ``warmup_time`` are counted and the run stops once ``target_completions``
 counted jobs have finished; jobs still in flight are dropped from the
-statistics.  If the clock would pass ``max_simulated_time`` first, the run
-stops early and the result is flagged truncated.  With a
+statistics.  If the clock would pass ``max_simulated_time`` first, or no
+class arrives any more (every next arrival lies at t = inf, as a subnormal
+arrival rate gives), the run stops early and the result is flagged
+truncated.  With a
 :class:`TraceInput`, the scripted arrivals are run to completion and every
 job is counted.
 """
@@ -41,7 +43,7 @@ job is counted.
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from itertools import chain
 
 import numpy as np
@@ -202,8 +204,9 @@ class RunResult:
 
 
 class _Job:
+    # since: when the job was last started, resumed or suspended
     __slots__ = ("cls", "arrival", "service", "remaining", "first_start",
-                 "suspended_at", "interruptions", "counted")
+                 "since", "interruptions", "counted")
 
     def __init__(self, cls, arrival, service, counted):
         self.cls = cls
@@ -211,7 +214,7 @@ class _Job:
         self.service = service
         self.remaining = service
         self.first_start = None
-        self.suspended_at = None
+        self.since = None
         self.interruptions = None
         self.counted = counted
 
@@ -269,13 +272,11 @@ def run(model: SystemModel, policy: PolicyConfig, cfg) -> RunResult:
     # completions only, as (time, token, server)
     events: list = []
     pool: list = []
-    idle = list(range(m))
-    heapify(idle)
+    idle = list(range(m))  # already a heap
     server_job: list = [None] * m
     # (-class, arrival, server) of each busy server's job: min() of them is the preferred victim
     server_key: list = [None] * m
     server_token = [0] * m
-    server_start = [0.0] * m
     token = 0
     pool_seq = 0
     log = JobLog()
@@ -295,7 +296,7 @@ def run(model: SystemModel, policy: PolicyConfig, cfg) -> RunResult:
         for seq, (t, cls, service) in enumerate(cfg.arrivals):
             if cls > n_classes:
                 raise ValueError(f"trace entry {seq} names class {cls}, model has {n_classes}")
-        # class 0 marks the end of the trace
+        # an arrival at inf marks the end of the trace
         arrivals = chain(cfg.arrivals, [(math.inf, 0, 0.0)])
         warmup = -math.inf
         target = None
@@ -307,15 +308,14 @@ def run(model: SystemModel, policy: PolicyConfig, cfg) -> RunResult:
         if job.first_start is None:
             job.first_start = now
         else:
-            seg = now - job.suspended_at
+            seg = now - job.since
             if job.interruptions is None:
                 job.interruptions = [seg]
             else:
                 job.interruptions.append(seg)
-            job.suspended_at = None
+        job.since = now
         server_job[sidx] = job
         server_key[sidx] = (-job.cls, job.arrival, sidx)
-        server_start[sidx] = now
         token += 1
         server_token[sidx] = token
         heappush(events, (now + job.remaining, token, sidx))
@@ -348,8 +348,10 @@ def run(model: SystemModel, policy: PolicyConfig, cfg) -> RunResult:
             if target is not None and counted_done >= target:
                 break
         else:
-            if not cls_next:
-                break  # the trace is over and every job has completed
+            if t_next == math.inf:
+                # every job has completed: the trace is over, or no class arrives any more
+                truncated = target is not None
+                break
             now = t_next
             if now > horizon:
                 truncated = True
@@ -363,8 +365,8 @@ def run(model: SystemModel, policy: PolicyConfig, cfg) -> RunResult:
                 if -key[0] >= cls_next + min_victim_delta:
                     best = key[2]
                     victim = server_job[best]
-                    victim.remaining -= now - server_start[best]
-                    victim.suspended_at = now
+                    victim.remaining -= now - victim.since
+                    victim.since = now
                     server_token[best] = 0
                     place(job, best)
                     job = victim
@@ -385,26 +387,25 @@ def run(model: SystemModel, policy: PolicyConfig, cfg) -> RunResult:
 
 @dataclass(frozen=True)
 class RawClassStats:
-    """Raw per-class estimators from one run's counted records.
+    """One run's estimators of a class's metrics, under the names of :class:`ClassMetrics`.
 
-    ``initial_delay_mean`` is None when no job of the class was delayed,
-    and ``interruption_mean`` is None when none was preempted (0/0 cases
-    are reported absent rather than as zero).  ``interruption_mean`` is the
-    ratio of summed interruption time to the total interruption count, so
-    long interruptions weigh in proportionally.
+    ``p`` delayed fraction, ``u`` mean initial delay of the delayed jobs,
+    ``h`` preemptions per job, ``g`` mean interruption (summed interruption
+    time over the interruption count, so long interruptions weigh in
+    proportionally), ``w`` mean wait (sojourn minus service) and ``v`` mean
+    sojourn.  A metric the run did not observe is None: ``u`` when no job
+    was delayed, ``g`` when none was preempted, and all six when the class
+    counted no job.
     """
 
     count: int
-    sojourn_mean: float
-    wait_mean: float
-    service_mean: float
-    delayed_fraction: float
-    delayed_count: int
-    initial_delay_mean: float | None
-    preemption_mean: float
-    interruption_count: int
-    interruption_time: float
-    interruption_mean: float | None
+    p: float | None = None
+    u: float | None = None
+    h: float | None = None
+    g: float | None = None
+    w: float | None = None
+    v: float | None = None
+    interruption_count: int = 0
 
 
 def per_class_raw(log: JobLog, model: SystemModel) -> dict[int, RawClassStats]:
@@ -412,8 +413,7 @@ def per_class_raw(log: JobLog, model: SystemModel) -> dict[int, RawClassStats]:
 
     One pass over the log's columns gathers each class's terms, each class's
     sums then go through ``math.fsum``.  Every class of the model gets an
-    entry; one with no counted jobs is flagged by ``count == 0`` and
-    carries no aggregate values.
+    entry; one with no counted jobs is ``RawClassStats(count=0)``.
     """
     n_classes = len(model.classes)
     sojourns = [[] for _ in range(n_classes + 1)]
@@ -434,37 +434,20 @@ def per_class_raw(log: JobLog, model: SystemModel) -> dict[int, RawClassStats]:
     for cls in range(1, n_classes + 1):
         n = len(sojourns[cls])
         if not n:
-            out[cls] = RawClassStats(
-                count=0,
-                sojourn_mean=None,
-                wait_mean=None,
-                service_mean=None,
-                delayed_fraction=None,
-                delayed_count=0,
-                initial_delay_mean=None,
-                preemption_mean=None,
-                interruption_count=0,
-                interruption_time=0.0,
-                interruption_mean=None,
-            )
+            out[cls] = RawClassStats(count=0)
             continue
-        sojourn_mean = math.fsum(sojourns[cls]) / n
-        service_mean = math.fsum(services[cls]) / n
+        v = math.fsum(sojourns[cls]) / n
         n_delayed = len(delays[cls])
         int_count = int_counts[cls]
-        int_time = math.fsum(int_totals[cls])
         out[cls] = RawClassStats(
             count=n,
-            sojourn_mean=sojourn_mean,
-            wait_mean=sojourn_mean - service_mean,
-            service_mean=service_mean,
-            delayed_fraction=n_delayed / n,
-            delayed_count=n_delayed,
-            initial_delay_mean=math.fsum(delays[cls]) / n_delayed if n_delayed else None,
-            preemption_mean=int_count / n,
+            p=n_delayed / n,
+            u=math.fsum(delays[cls]) / n_delayed if n_delayed else None,
+            h=int_count / n,
+            g=math.fsum(int_totals[cls]) / int_count if int_count else None,
+            w=v - math.fsum(services[cls]) / n,
+            v=v,
             interruption_count=int_count,
-            interruption_time=int_time,
-            interruption_mean=int_time / int_count if int_count else None,
         )
     return out
 

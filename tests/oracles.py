@@ -135,38 +135,21 @@ def reference_per_class_raw(records, n_classes: int) -> dict[int, RawClassStats]
     for cls in range(1, n_classes + 1):
         jobs = by_class.get(cls)
         if not jobs:
-            out[cls] = RawClassStats(
-                count=0,
-                sojourn_mean=None,
-                wait_mean=None,
-                service_mean=None,
-                delayed_fraction=None,
-                delayed_count=0,
-                initial_delay_mean=None,
-                preemption_mean=None,
-                interruption_count=0,
-                interruption_time=0.0,
-                interruption_mean=None,
-            )
+            out[cls] = RawClassStats(count=0)
             continue
         n = len(jobs)
-        sojourn_mean = math.fsum(r.completion_time - r.arrival_time for r in jobs) / n
-        service_mean = math.fsum(r.service_requirement for r in jobs) / n
+        v = math.fsum(r.completion_time - r.arrival_time for r in jobs) / n
         delays = [r.first_start_time - r.arrival_time for r in jobs if r.first_start_time > r.arrival_time]
         int_count = sum(r.preemption_count for r in jobs)
-        int_time = math.fsum(r.total_interruption_time for r in jobs)
         out[cls] = RawClassStats(
             count=n,
-            sojourn_mean=sojourn_mean,
-            wait_mean=sojourn_mean - service_mean,
-            service_mean=service_mean,
-            delayed_fraction=len(delays) / n,
-            delayed_count=len(delays),
-            initial_delay_mean=math.fsum(delays) / len(delays) if delays else None,
-            preemption_mean=int_count / n,
+            p=len(delays) / n,
+            u=math.fsum(delays) / len(delays) if delays else None,
+            h=int_count / n,
+            g=math.fsum(r.total_interruption_time for r in jobs) / int_count if int_count else None,
+            w=v - math.fsum(r.service_requirement for r in jobs) / n,
+            v=v,
             interruption_count=int_count,
-            interruption_time=int_time,
-            interruption_mean=int_time / int_count if int_count else None,
         )
     return out
 

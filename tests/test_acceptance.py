@@ -275,8 +275,8 @@ def test_criterion_10_hand_traced_lifecycles():
     assert (second.first_start_time, second.completion_time) == (1.0, 2.0)
     assert second.preemption_count == 0
     stats = per_class_raw(records, one_class)[1]
-    assert (stats.sojourn_mean, stats.wait_mean) == (2.5, 0.5)
-    assert (stats.delayed_fraction, stats.preemption_mean, stats.interruption_mean) == (0.0, 0.5, 1.0)
+    assert (stats.v, stats.w) == (2.5, 0.5)
+    assert (stats.p, stats.h, stats.g) == (0.0, 0.5, 1.0)
 
     # two servers, both busy with the lowest class: the earliest-arrived
     # of the equal-class victims is displaced (first come, first displaced)

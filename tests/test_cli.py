@@ -238,6 +238,17 @@ def test_simulate_truncation_exits_three(capsys):
     assert "TRUNCATED" in out
 
 
+def test_simulate_exits_three_when_no_class_arrives(capsys, tmp_path):
+    # the only class's gaps overflow to inf, so the run ends with no job counted
+    cfg = tmp_path / "subnormal.cfg"
+    cfg.write_text("servers 1\nclass lambda=5e-324 service=exp(1.0)\n")
+    code, out, err = run_cli(capsys, "simulate", "--config", str(cfg), "--jobs", "5", "--reps", "2")
+    assert code == 3 and err == ""
+    assert "nan" not in out
+    tail = out.splitlines()[-1]
+    assert "completions=0" in tail and tail.endswith(" TRUNCATED")
+
+
 def test_simulate_accepts_policy_flags(capsys):
     code, out, _ = run_cli(
         capsys, "simulate", "--config", PAPER_S4_CFG, "--within-class", "fifo",

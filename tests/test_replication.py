@@ -1,5 +1,8 @@
 """Replication seeding, interval estimates, and comparison-table behavior."""
 
+import math
+from dataclasses import fields
+
 import pytest
 import scipy.stats as sps
 
@@ -8,6 +11,7 @@ from mgmprio import (
     ClassSpec,
     Exponential,
     PolicyConfig,
+    RawClassStats,
     ReplicationMetadata,
     RunConfig,
     SimulationReport,
@@ -43,25 +47,23 @@ def test_rep_seeds_are_prefix_stable_and_distinct():
     assert len(set(sixteen)) == 16
 
 
-def test_identical_traces_give_zero_half_width():
-    trace = TraceInput([(0.0, 1, 3.0), (1.0, 1, 1.0), (2.5, 2, 0.5)])
-    model = SystemModel(1, [ClassSpec(1.0, Exponential(1.0)), ClassSpec(1.0, Exponential(1.0))])
-    report = replicate(model, LIFO, trace, 3)
-    assert report.metadata.base_seed is None
-    for estimates in report.classes.values():
-        for est in estimates.values():
-            if est.estimate is not None:
-                assert est.ci_half_width == 0.0
-                assert est.replications == 3
-    assert report.classes[1]["v"].estimate == 2.5
-    assert report.classes[1]["w"].estimate == 0.5
+def test_equal_values_give_zero_half_width():
+    for value in (2.5, 0.5, 0.0):
+        for n in (1, 2, 3):
+            assert replication._t_half_width([value] * n, {}) == 0.0
+
+
+def test_raw_stats_carry_every_metric_name():
+    # replicate reads each metric from per_class_raw's result by its name
+    assert set(METRIC_NAMES) <= {f.name for f in fields(RawClassStats)}
 
 
 def test_replicate_validates_inputs():
     with pytest.raises(ValueError):
         replicate(MM3, LIFO, RunConfig(seed=1, target_completions=10), 0)
-    with pytest.raises(TypeError):
-        replicate(MM3, LIFO, object(), 2)
+    for cfg in (object(), TraceInput([(0.0, 1, 1.0)])):
+        with pytest.raises(TypeError):
+            replicate(MM3, LIFO, cfg, 2)
 
 
 def test_estimate_structure_and_metadata():
@@ -69,9 +71,6 @@ def test_estimate_structure_and_metadata():
     report = replicate(MM3, LIFO, cfg, 4)
     meta = report.metadata
     assert meta.base_seed == 6
-    assert meta.rep_seeds == rep_seeds(6, 4)
-    assert meta.warmup_time == 20.0
-    assert meta.target_completions == 5000
     assert meta.completions_per_rep == (5000,) * 4
     assert meta.wall_clock_seconds > 0
     assert not meta.truncated
@@ -100,11 +99,12 @@ def test_measured_waiting_identity_is_mechanical():
     # so the measured form of the waiting identity holds to rounding only
     for seed in rep_seeds(77, 3):
         result = run(FOUR_CLASS, LIFO, RunConfig(seed=seed, target_completions=20_000, warmup_time=50.0))
-        for stats in per_class_raw(result.records, FOUR_CLASS).values():
-            delay_part = stats.delayed_fraction * (stats.initial_delay_mean or 0.0)
-            interruption_part = stats.preemption_mean * (stats.interruption_mean or 0.0)
-            assert abs(stats.wait_mean - (delay_part + interruption_part)) <= 1e-12
-            assert stats.sojourn_mean - stats.wait_mean - stats.service_mean == 0.0
+        for cls, stats in per_class_raw(result.records, FOUR_CLASS).items():
+            delay_part = stats.p * (stats.u or 0.0)
+            interruption_part = stats.h * (stats.g or 0.0)
+            assert abs(stats.w - (delay_part + interruption_part)) <= 1e-12
+            services = [r.service_requirement for r in result.records if r.class_index == cls]
+            assert stats.v - stats.w == math.fsum(services) / stats.count
 
 
 def test_half_widths_shrink_like_root_n():
@@ -162,7 +162,6 @@ def test_compare_zero_deviation_when_report_echoes_analytic():
     for cls, metrics in enumerate(analytic, start=1):
         classes[cls] = {
             name: ClassEstimate(
-                metric=name,
                 estimate=getattr(metrics, name),
                 ci_half_width=0.0,
                 replications=2,
@@ -173,9 +172,6 @@ def test_compare_zero_deviation_when_report_echoes_analytic():
         classes=classes,
         metadata=ReplicationMetadata(
             base_seed=0,
-            rep_seeds=rep_seeds(0, 2),
-            warmup_time=0.0,
-            target_completions=1,
             completions_per_rep=(1, 1),
             wall_clock_seconds=0.0,
             truncated=False,

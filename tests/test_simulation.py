@@ -15,6 +15,7 @@ from mgmprio import (
     Exponential,
     JOB_RECORD_CSV_HEADER,
     PolicyConfig,
+    RawClassStats,
     RunConfig,
     ServiceDistribution,
     SystemModel,
@@ -41,6 +42,7 @@ PAPER_S4 = SystemModel(
 LIFO = PolicyConfig()
 FIFO = PolicyConfig(within_class_order="fifo")
 STRICT = PolicyConfig(equal_class_preemption=False)
+FIFO_STRICT = PolicyConfig(within_class_order="fifo", equal_class_preemption=False)
 
 
 def by_arrival(result, t):
@@ -117,33 +119,31 @@ def test_per_class_raw_on_two_job_trace():
     result = run(M1, LIFO, TraceInput([(0.0, 1, 3.0), (1.0, 1, 1.0)]))
     stats = per_class_raw(result.records, M1)[1]
     assert stats.count == 2
-    assert stats.sojourn_mean == 2.5
-    assert stats.service_mean == 2.0
-    assert stats.wait_mean == 0.5
-    assert stats.sojourn_mean - stats.wait_mean - stats.service_mean == 0.0
-    assert stats.delayed_fraction == 0.0
-    assert stats.delayed_count == 0
-    assert stats.initial_delay_mean is None
-    assert stats.preemption_mean == 0.5
+    assert stats.v == 2.5
+    assert stats.w == 0.5
+    assert stats.v - stats.w == 2.0  # the mean service
+    assert stats.p == 0.0
+    assert stats.u is None
+    assert stats.h == 0.5
     assert stats.interruption_count == 1
-    assert stats.interruption_mean == 1.0
+    assert stats.g == 1.0
 
 
 def test_per_class_raw_single_immediate_job():
     result = run(M1, LIFO, TraceInput([(0.0, 1, 1.0)]))
     stats = per_class_raw(result.records, M1)[1]
     assert stats.count == 1
-    assert stats.delayed_fraction == 0.0
-    assert stats.initial_delay_mean is None
-    assert stats.interruption_mean is None
+    assert stats.p == 0.0
+    assert stats.u is None
+    assert stats.g is None
 
 
 def test_per_class_raw_flags_empty_class():
     result = run(M1_TWO, LIFO, TraceInput([(0.0, 1, 1.0)]))
     stats = per_class_raw(result.records, M1_TWO)
     assert stats[1].count == 1
-    assert stats[2].count == 0
-    assert stats[2].sojourn_mean is None
+    assert stats[2] == RawClassStats(count=0)
+    assert stats[2].v is None and stats[2].interruption_count == 0
 
 
 @pytest.mark.parametrize(
@@ -179,13 +179,28 @@ def test_within_class_order_lifo_vs_fifo():
     assert by_arrival(fifo, 2.0).first_start_time == 6.0
 
 
-def test_suspended_jobs_resume_in_lifo_by_original_arrival():
-    # X preempted first, Y preempted second; Y (younger) must resume first
+@pytest.mark.parametrize("policy, completions", [(LIFO, (30.0, 21.0, 12.0)), (FIFO, (21.0, 30.0, 12.0))],
+                         ids=["lifo", "fifo"])
+def test_suspended_jobs_resume_by_original_arrival(policy, completions):
+    # X (arrived 0) preempted first, Y (arrived 1) second; under LIFO the
+    # younger Y resumes first, under FIFO the older X
     trace = TraceInput([(0.0, 1, 10.0), (1.0, 1, 10.0), (2.0, 1, 10.0)])
-    result = run(M1, LIFO, trace)
-    assert by_arrival(result, 2.0).completion_time == 12.0
-    assert by_arrival(result, 1.0).completion_time == 21.0
-    assert by_arrival(result, 0.0).completion_time == 30.0
+    result = run(M1, policy, trace)
+    assert tuple(by_arrival(result, t).completion_time for t in (0.0, 1.0, 2.0)) == completions
+
+
+@pytest.mark.parametrize("policy", [STRICT, FIFO_STRICT], ids=["lifo", "fifo"])
+def test_strict_preemption_displaces_only_lower_classes(policy):
+    # two servers: the class-1 arrival at 1.0 displaces the class-2 job, the
+    # one at 1.25 finds only class-1 work in service and waits for a server
+    trace = TraceInput([(0.0, 2, 4.0), (0.5, 1, 4.0), (1.0, 1, 1.0), (1.25, 1, 1.0)])
+    result = run(M2_TWO, policy, trace)
+    low = by_arrival(result, 0.0)
+    assert (low.completion_time, low.interruption_intervals) == (6.0, (2.0,))
+    assert by_arrival(result, 0.5).completion_time == 4.5
+    assert by_arrival(result, 1.0).completion_time == 2.0
+    waiter = by_arrival(result, 1.25)
+    assert (waiter.first_start_time, waiter.completion_time, waiter.preemption_count) == (2.0, 3.0, 0)
 
 
 def test_equal_arrival_times_resume_in_pool_order():
