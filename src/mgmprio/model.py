@@ -4,6 +4,10 @@ from dataclasses import dataclass
 
 from .distributions import ServiceDistribution, require_finite
 
+# erlang_c loops once per server for every class, and the simulator keeps a
+# list entry per server: far larger counts hang the one and overflow the other
+_MAX_SERVERS = 10_000
+
 
 class DomainError(ValueError):
     """An operation's mathematical preconditions do not hold."""
@@ -34,7 +38,7 @@ class SystemModel:
 
     def __post_init__(self):
         object.__setattr__(self, "classes", tuple(self.classes))
-        if not (isinstance(self.servers, int) and self.servers >= 1):
-            raise ValueError(f"server count must be a positive integer, got {self.servers!r}")
+        if not (isinstance(self.servers, int) and 1 <= self.servers <= _MAX_SERVERS):
+            raise ValueError(f"server count must be an integer from 1 to {_MAX_SERVERS}, got {self.servers!r}")
         if not self.classes:
             raise ValueError("a model needs at least one class")

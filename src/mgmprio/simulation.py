@@ -9,7 +9,9 @@ Scheduling semantics, in full:
   Both are drawn ahead in blocks of ``_BLOCK`` jobs; since every stream
   feeds one class and one purpose in order, the block size is not
   observable.  All classes' drawn arrivals are merged into one stream in
-  time order, so the event heap holds only completions.
+  time order, so the event heap holds only completions: the run loops over
+  the arrivals and, before each, drains the completions due by its time.
+  Each job's state is a plain list record.
 * An arrival first takes an idle server (the lowest-indexed one when
   several are idle).  Failing that, if some in-service job has a class
   index >= the arrival's (strictly > when ``equal_class_preemption`` is
@@ -203,20 +205,11 @@ class RunResult:
     end_time: float
 
 
-class _Job:
-    # since: when the job was last started, resumed or suspended
-    __slots__ = ("cls", "arrival", "service", "remaining", "first_start",
-                 "since", "interruptions", "counted")
-
-    def __init__(self, cls, arrival, service, counted):
-        self.cls = cls
-        self.arrival = arrival
-        self.service = service
-        self.remaining = service
-        self.first_start = None
-        self.since = None
-        self.interruptions = None
-        self.counted = counted
+# slots of a job record, one list per job: class index, arrival, service
+# requirement, remaining service, first start, when the job was last
+# started, resumed or suspended, and its interruption intervals (None until
+# it is first preempted)
+_CLS, _ARRIVAL, _SERVICE, _REMAINING, _FIRST_START, _SINCE, _INTERVALS = range(7)
 
 
 def _arrival_windows(model: SystemModel, seed: int):
@@ -299,31 +292,12 @@ def run(model: SystemModel, policy: PolicyConfig, cfg) -> RunResult:
         # an arrival at inf marks the end of the trace
         arrivals = chain(cfg.arrivals, [(math.inf, 0, 0.0)])
         warmup = -math.inf
-        target = None
+        target = math.inf
         horizon = math.inf
 
-    def place(job: _Job, sidx: int):
-        """Start or resume ``job`` on server ``sidx`` at the current time."""
-        nonlocal token
-        if job.first_start is None:
-            job.first_start = now
-        else:
-            seg = now - job.since
-            if job.interruptions is None:
-                job.interruptions = [seg]
-            else:
-                job.interruptions.append(seg)
-        job.since = now
-        server_job[sidx] = job
-        server_key[sidx] = (-job.cls, job.arrival, sidx)
-        token += 1
-        server_token[sidx] = token
-        heappush(events, (now + job.remaining, token, sidx))
-
-    t_next, cls_next, service_next = next(arrivals)
-    while True:
+    for t_next, cls_next, service_next in arrivals:
         # a completion goes before an arrival at the same time
-        if events and events[0][0] <= t_next:
+        while events and events[0][0] <= t_next:
             now, tok, sidx = heappop(events)
             if now > horizon:
                 truncated = True
@@ -331,51 +305,73 @@ def run(model: SystemModel, policy: PolicyConfig, cfg) -> RunResult:
             if server_token[sidx] != tok:
                 continue  # stale: that job was displaced
             job = server_job[sidx]
-            server_job[sidx] = None
-            server_token[sidx] = 0
-            if job.counted:
-                log_class(job.cls)
-                log_arrival(job.arrival)
-                log_service(job.service)
-                log_first_start(job.first_start)
+            if job[_ARRIVAL] > warmup:
+                log_class(job[_CLS])
+                log_arrival(job[_ARRIVAL])
+                log_service(job[_SERVICE])
+                log_first_start(job[_FIRST_START])
                 log_completion(now)
-                log_intervals(job.interruptions)
+                log_intervals(job[_INTERVALS])
                 counted_done += 1
+                if counted_done >= target:
+                    break
             if pool:
-                place(heappop(pool)[3], sidx)
+                job = heappop(pool)[3]
+                if job[_FIRST_START] is None:
+                    job[_FIRST_START] = now
+                elif job[_INTERVALS] is None:
+                    job[_INTERVALS] = [now - job[_SINCE]]
+                else:
+                    job[_INTERVALS].append(now - job[_SINCE])
+                job[_SINCE] = now
+                server_job[sidx] = job
+                server_key[sidx] = (-job[_CLS], job[_ARRIVAL], sidx)
+                token += 1
+                server_token[sidx] = token
+                heappush(events, (now + job[_REMAINING], token, sidx))
             else:
                 heappush(idle, sidx)
-            if target is not None and counted_done >= target:
-                break
+            if pool and idle:
+                raise RuntimeError("work conservation violated: idle server with waiting jobs")
         else:
             if t_next == math.inf:
                 # every job has completed: the trace is over, or no class arrives any more
-                truncated = target is not None
+                truncated = target != math.inf
                 break
             now = t_next
             if now > horizon:
                 truncated = True
                 break
-            job = _Job(cls_next, now, service_next, now > warmup)
+            job = [cls_next, now, service_next, service_next, now, now, None]
             if idle:
-                place(job, heappop(idle))
+                sidx = heappop(idle)
             else:
                 # every server is busy, so every key is current
                 key = min(server_key)
-                if -key[0] >= cls_next + min_victim_delta:
-                    best = key[2]
-                    victim = server_job[best]
-                    victim.remaining -= now - victim.since
-                    victim.since = now
-                    server_token[best] = 0
-                    place(job, best)
-                    job = victim
-                # the displaced victim, or the arrival that found no server
-                heappush(pool, (job.cls, -job.arrival if lifo else job.arrival, pool_seq, job))
+                if -key[0] < cls_next + min_victim_delta:
+                    # no server for the arrival: it waits, not yet started
+                    job[_FIRST_START] = None
+                    heappush(pool, (cls_next, -now if lifo else now, pool_seq, job))
+                    pool_seq += 1
+                    continue
+                # the victim joins the pool and the arrival takes its server
+                sidx = key[2]
+                victim = server_job[sidx]
+                victim[_REMAINING] -= now - victim[_SINCE]
+                victim[_SINCE] = now
+                heappush(pool, (victim[_CLS], -victim[_ARRIVAL] if lifo else victim[_ARRIVAL], pool_seq, victim))
                 pool_seq += 1
-            t_next, cls_next, service_next = next(arrivals)
-        if pool and idle:
-            raise RuntimeError("work conservation violated: idle server with waiting jobs")
+            # the arrival starts at once
+            server_job[sidx] = job
+            server_key[sidx] = (-cls_next, now, sidx)
+            token += 1
+            server_token[sidx] = token
+            heappush(events, (now + service_next, token, sidx))
+            if pool and idle:
+                raise RuntimeError("work conservation violated: idle server with waiting jobs")
+            continue
+        # the horizon or the target was reached
+        break
 
     return RunResult(
         records=log,

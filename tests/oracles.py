@@ -10,8 +10,10 @@ produced here and require the float implementation to reproduce them.
 
 It also keeps the record-by-record per-class reduction,
 :func:`reference_per_class_raw`, that the simulator's columnar
-``per_class_raw`` must match exactly, and :func:`reference_lifo_trace`, a
-second simulator that shares no scheduling code with the package's.
+``per_class_raw`` must match exactly, and two simulators that share no
+scheduling code with the package's: :func:`reference_lifo_trace` for LIFO
+with equal-class preemption and :func:`reference_policy_trace` for every
+policy.
 """
 
 import math
@@ -194,4 +196,65 @@ def reference_lifo_trace(servers: int, trace) -> dict[tuple[int, float], tuple[f
             if first[j] is None:
                 first[j] = now
         serving = best
+    return {(c, t): (first[j], done[j], preemptions[j]) for j, (t, c, _) in enumerate(trace)}
+
+
+def reference_policy_trace(
+    servers: int, trace, lifo: bool, equal_class_preemption: bool
+) -> dict[tuple[int, float], tuple[float, float, int]]:
+    """(first start, completion, preemption count) of each job of a trace, keyed by (class, arrival).
+
+    An event-by-event simulator built from lists, sorts and scans.  An
+    arrival takes a free server, or else displaces the in-service job of the
+    largest class, the earliest arrived among equals, if that class is
+    lower than its own (or equal, with ``equal_class_preemption``), or else
+    waits.  Freed servers take the waiting jobs of the smallest class, the
+    latest arrived first under ``lifo`` and the earliest otherwise.
+    Completions at one instant go before its arrivals, and arrivals enter
+    one at a time in trace order.  The same trace conditions as
+    :func:`reference_lifo_trace` apply: distinct (class, time) pairs, so no
+    tie needs a server index or a pool order, and exact arithmetic.
+    """
+    remaining = [service for _, _, service in trace]
+    first = [None] * len(trace)
+    done = [None] * len(trace)
+    preemptions = [0] * len(trace)
+    serving, waiting = [], []
+    now, arrived = 0.0, 0
+
+    def start(j):
+        serving.append(j)
+        if first[j] is None:
+            first[j] = now
+
+    while arrived < len(trace) or serving:
+        next_done = min((now + remaining[j] for j in serving), default=inf)
+        next_arrival = trace[arrived][0] if arrived < len(trace) else inf
+        t = min(next_done, next_arrival)
+        for j in serving:
+            remaining[j] -= t - now
+        now = t
+        finished = [j for j in serving if remaining[j] == 0]
+        if finished:
+            for j in finished:
+                done[j] = now
+                serving.remove(j)
+            waiting.sort(key=lambda j: (trace[j][1], -trace[j][0] if lifo else trace[j][0]))
+            while waiting and len(serving) < servers:
+                start(waiting.pop(0))
+            continue
+        j = arrived
+        arrived += 1
+        if len(serving) < servers:
+            start(j)
+            continue
+        victim = max(serving, key=lambda k: (trace[k][1], -trace[k][0]))
+        gap = trace[victim][1] - trace[j][1]
+        if gap > 0 or (gap == 0 and equal_class_preemption):
+            serving.remove(victim)
+            preemptions[victim] += 1
+            waiting.append(victim)
+            start(j)
+        else:
+            waiting.append(j)
     return {(c, t): (first[j], done[j], preemptions[j]) for j, (t, c, _) in enumerate(trace)}

@@ -100,17 +100,20 @@ def test_missing_config_file(capsys):
 
 def test_scenario_parse_error_reports_file_and_line(capsys, tmp_path):
     cfg = tmp_path / "bad.cfg"
-    for bad in (
-        "lambda=zero service=exp(1)",
-        "lambda=nan service=exp(1)",
-        "lambda=1 service=exp(1e-300)",
-        "lambda=0.5 service=erlang(100000000,1e8)",
+    for servers, bad, line in (
+        (3, "lambda=zero service=exp(1)", 2),
+        (3, "lambda=nan service=exp(1)", 2),
+        (3, "lambda=1 service=exp(1e-300)", 2),
+        (3, "lambda=0.5 service=erlang(100000000,1e8)", 2),
+        # a server count this large would hang analytic and overflow simulate
+        (100000000, "lambda=1 service=exp(1)", 1),
+        (99999999999999999999, "lambda=1 service=exp(1)", 1),
     ):
-        cfg.write_text(f"servers 3\nclass {bad}\n")
+        cfg.write_text(f"servers {servers}\nclass {bad}\n")
         code, out, err = run_cli(capsys, "analytic", "--config", str(cfg))
         assert code == 1, bad
         assert out == "" and err.count("\n") == 1
-        assert "bad.cfg" in err and "line 2" in err
+        assert "bad.cfg" in err and f"line {line}" in err
 
 
 @pytest.mark.parametrize(

@@ -83,6 +83,9 @@ def test_comments_and_blank_lines_are_ignored():
         ("servers 1\nclass lambda=1 service exp(1)", 2, "key=value"),
         ("servers 1\nclass lambda=0.1 lambda=0.2 service=exp(1)", 2, "repeated key lambda="),
         ("servers 1\nclass lambda=0.1 service=exp(1) service=det(2)", 2, "repeated key service="),
+        # erlang_c would loop 1e8 times per class, and the simulator's server lists overflow at 1e20
+        ("servers 100000000\nclass lambda=1 service=exp(1)", 1, "server count"),
+        ("servers 99999999999999999999\nclass lambda=1 service=exp(1)", 1, "server count"),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, bad_line, fragment):

@@ -24,7 +24,7 @@ from mgmprio import (
     run,
     write_job_records,
 )
-from oracles import reference_lifo_trace, reference_per_class_raw
+from oracles import reference_lifo_trace, reference_per_class_raw, reference_policy_trace
 
 M1 = SystemModel(1, [ClassSpec(1.0, Exponential(1.0))])
 M1_TWO = SystemModel(1, [ClassSpec(1.0, Exponential(1.0)), ClassSpec(1.0, Exponential(1.0))])
@@ -239,6 +239,23 @@ def test_lifo_trace_matches_reference_simulator(case):
         for r in result.records
     }
     assert engine == reference_lifo_trace(servers, jobs)
+    # the two references follow different rules and must agree where both apply
+    assert reference_policy_trace(servers, jobs, True, True) == engine
+
+
+@pytest.mark.parametrize("policy", [FIFO, STRICT, FIFO_STRICT], ids=["fifo", "lifo-strict", "fifo-strict"])
+@settings(max_examples=300, deadline=None)
+@given(case=_lifo_traces())
+def test_trace_matches_policy_reference_simulator(policy, case):
+    servers, n_classes, jobs = case
+    model = SystemModel(servers, [ClassSpec(1.0, Exponential(1.0))] * n_classes)
+    result = run(model, policy, TraceInput(jobs))
+    engine = {
+        (r.class_index, r.arrival_time): (r.first_start_time, r.completion_time, r.preemption_count)
+        for r in result.records
+    }
+    lifo = policy.within_class_order == "lifo"
+    assert engine == reference_policy_trace(servers, jobs, lifo, policy.equal_class_preemption)
 
 
 def test_simultaneous_completion_processed_before_arrival():
@@ -346,6 +363,8 @@ def test_runs_are_deterministic():
     b = run(model, LIFO, cfg)
     assert a.records == b.records
     assert a.end_time == b.end_time
+    # the run ends at the completion that reaches the target
+    assert a.end_time == a.records[-1].completion_time
     assert len(a.records) == a.counted_completions
     listed = list(a.records)
     assert a.records[-1] == listed[-1] and a.records[-len(listed)] == listed[0]
@@ -411,6 +430,9 @@ def test_horizon_truncation_reported():
     result = run(SystemModel(1, [ClassSpec(0.5, Exponential(1.0))]), LIFO, cfg)
     assert result.truncated
     assert result.counted_completions < 10**6
+    # the run ends at the first event past the horizon, which is not logged
+    assert result.end_time > 50.0
+    assert all(r.completion_time <= 50.0 for r in result.records)
 
 
 def test_job_record_csv_dump():
@@ -429,3 +451,5 @@ def test_job_record_csv_dump():
     assert result.records[-1] == result.records[1] and result.records[-2] == result.records[0]
     assert result.records[:1] == (result.records[0],) and result.records[5:] == ()
     assert [r.completion_time for r in result.records] == [2.0, 4.0]
+    # a trace ends at its last completion
+    assert result.end_time == 4.0
