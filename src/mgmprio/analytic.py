@@ -35,10 +35,10 @@ preemptive, so lower classes are invisible to higher ones).
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
 from itertools import accumulate
 from typing import TYPE_CHECKING
 
+from .distributions import _Frozen, _setattr
 from .model import DomainError, SystemModel
 
 if TYPE_CHECKING:
@@ -87,16 +87,21 @@ def erlang_c(servers: int, load: float) -> float:
     return b / (1.0 - load * (1.0 - b))
 
 
-@dataclass(frozen=True, eq=False)
-class LoadProfile:
+class LoadProfile(_Frozen):
     """Cumulative arrival rates and per-server loads by priority prefix.
 
     Both arrays have length ``N + 1``; index i covers classes 1..i and
     index 0 is the empty prefix (both entries zero).
     """
 
-    cumulative_rate: np.ndarray
-    load: np.ndarray
+    __slots__ = ("cumulative_rate", "load")
+    # arrays have no single truth value to compare by, so equality is identity
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, cumulative_rate: np.ndarray, load: np.ndarray):
+        _setattr(self, "cumulative_rate", cumulative_rate)
+        _setattr(self, "load", load)
 
 
 def loads(model: SystemModel) -> LoadProfile:
@@ -107,17 +112,20 @@ def loads(model: SystemModel) -> LoadProfile:
     return LoadProfile(cumulative_rate=np.array(cum_rate), load=np.array(load))
 
 
-@dataclass(frozen=True)
-class ClassMetrics:
+class ClassMetrics(_Frozen):
     """The six metrics for one class; all None when the class is unstable."""
 
-    p: float | None
-    u: float | None
-    h: float | None
-    g: float | None
-    w: float | None
-    v: float | None
-    stable: bool
+    __slots__ = ("p", "u", "h", "g", "w", "v", "stable")
+
+    def __init__(self, p: float | None, u: float | None, h: float | None, g: float | None,
+                 w: float | None, v: float | None, stable: bool):
+        _setattr(self, "p", p)
+        _setattr(self, "u", u)
+        _setattr(self, "h", h)
+        _setattr(self, "g", g)
+        _setattr(self, "w", w)
+        _setattr(self, "v", v)
+        _setattr(self, "stable", stable)
 
     @classmethod
     def unstable(cls) -> "ClassMetrics":
@@ -247,13 +255,19 @@ def exact_mmm_identical(model: SystemModel) -> list[ClassMetrics]:
     return out
 
 
-@dataclass(frozen=True)
-class IdentityResiduals:
+class IdentityResiduals(_Frozen):
     """Residuals of the three structural identities for one stable class."""
 
-    waiting: float      # w - (p*u + h*g)
-    sojourn: float      # v - (w + mean service)
-    preemptions: float  # h - L_i * (c_i - c_{i-1}) / lambda_i
+    __slots__ = (
+        "waiting",      # w - (p*u + h*g)
+        "sojourn",      # v - (w + mean service)
+        "preemptions",  # h - L_i * (c_i - c_{i-1}) / lambda_i
+    )
+
+    def __init__(self, waiting: float, sojourn: float, preemptions: float):
+        _setattr(self, "waiting", waiting)
+        _setattr(self, "sojourn", sojourn)
+        _setattr(self, "preemptions", preemptions)
 
 
 def check_identities(

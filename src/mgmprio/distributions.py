@@ -14,14 +14,16 @@ bit-identical variate sequences however the draws are split into blocks.
 Each law checks when built that its parameters and moments pass
 :func:`require_finite`, the validity rule shared by all model and run inputs.
 numpy is imported inside the sampling functions only, so building laws and
-reading their moments, all the closed-form side does, never loads it.
+reading their moments, all the closed-form side does, never loads it.  The
+laws, like the other value types of the closed-form side, are immutable
+slotted :class:`_Frozen` classes rather than dataclasses, whose import and
+generated methods would cost that side most of its import time.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from itertools import accumulate
 from typing import TYPE_CHECKING
 
@@ -42,6 +44,54 @@ def require_finite(what: str, value, *, zero_ok: bool = False) -> None:
         raise ValueError(f"{what} must be {sign} and finite, got {value!r}")
 
 
+# writes a field past _Frozen's refusing __setattr__; a global is cheaper
+# to reach than the attribute, on the path that builds every metric
+_setattr = object.__setattr__
+
+
+class _Frozen:
+    """Immutable slotted value type: the frozen-dataclass behaviour, built without ``dataclasses``.
+
+    A subclass lists its fields in ``__slots__`` and writes each one in its
+    ``__init__`` with ``_setattr``, then checks them.  Instances refuse
+    assignment and deletion, compare equal when of the same class with equal
+    field tuples, hash by that tuple, print as ``Name(field=value, ...)``,
+    and pickle and copy by calling the constructor again.
+
+    Only the closed-form side (laws, model, metrics, scenario) uses it,
+    because ``dataclasses``, the ``inspect`` it loads and the methods it
+    generates were most of ``import mgmprio``.  The simulation and
+    replication types stay dataclasses: callers use ``dataclasses.replace``
+    and ``fields`` on them, and that side loads numpy, which costs far more.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
 def _quotient(num: float, den: float) -> float:
     # moments overflow to inf, also when a product of small rates underflows to 0
     return num / den if den else math.inf
@@ -49,6 +99,9 @@ def _quotient(num: float, den: float) -> float:
 
 class ServiceDistribution:
     """Base type for service laws; construct one of the concrete variants."""
+
+    # empty, so that the slotted variants carry no instance dict
+    __slots__ = ()
 
     def check_moments(self) -> None:
         """Raise ValueError unless the mean and second moment are finite and positive."""
@@ -91,12 +144,12 @@ def _exponentials(uniforms: np.ndarray, rate) -> np.ndarray:
     return np.log(1.0 - uniforms) / -rate
 
 
-@dataclass(frozen=True)
-class Exponential(ServiceDistribution):
-    rate: float
+class Exponential(_Frozen, ServiceDistribution):
+    __slots__ = ("rate",)
 
-    def __post_init__(self):
-        require_finite("exponential rate", self.rate)
+    def __init__(self, rate: float):
+        _setattr(self, "rate", rate)
+        require_finite("exponential rate", rate)
         self.check_moments()
 
     def mean(self) -> float:
@@ -112,12 +165,12 @@ class Exponential(ServiceDistribution):
         return f"exp({self.rate!r})"
 
 
-@dataclass(frozen=True)
-class Deterministic(ServiceDistribution):
-    value: float
+class Deterministic(_Frozen, ServiceDistribution):
+    __slots__ = ("value",)
 
-    def __post_init__(self):
-        require_finite("deterministic value", self.value)
+    def __init__(self, value: float):
+        _setattr(self, "value", value)
+        require_finite("deterministic value", value)
         self.check_moments()
 
     def mean(self) -> float:
@@ -136,17 +189,18 @@ class Deterministic(ServiceDistribution):
         return f"det({self.value!r})"
 
 
-@dataclass(frozen=True)
-class Erlang(ServiceDistribution):
+class Erlang(_Frozen, ServiceDistribution):
     """Sum of ``shape`` independent exponential stages of the given rate."""
 
-    shape: int
-    rate: float
+    __slots__ = ("shape", "rate")
 
-    def __post_init__(self):
-        if not (isinstance(self.shape, int) and 1 <= self.shape <= _MAX_ERLANG_SHAPE):
-            raise ValueError(f"erlang shape must be an integer from 1 to {_MAX_ERLANG_SHAPE}, got {self.shape!r}")
-        require_finite("erlang rate", self.rate)
+    def __init__(self, shape: int, rate: float):
+        _setattr(self, "shape", shape)
+        _setattr(self, "rate", rate)
+        # bool is an int, but True would render as a shape no parser reads back
+        if not (isinstance(shape, int) and not isinstance(shape, bool) and 1 <= shape <= _MAX_ERLANG_SHAPE):
+            raise ValueError(f"erlang shape must be an integer from 1 to {_MAX_ERLANG_SHAPE}, got {shape!r}")
+        require_finite("erlang rate", rate)
         self.check_moments()
 
     def mean(self) -> float:
@@ -170,14 +224,13 @@ class Erlang(ServiceDistribution):
         return f"erlang({self.shape},{self.rate!r})"
 
 
-@dataclass(frozen=True)
-class HyperExponential(ServiceDistribution):
+class HyperExponential(_Frozen, ServiceDistribution):
     """Probabilistic mixture of exponentials: branches of (probability, rate)."""
 
-    branches: tuple[tuple[float, float], ...]
+    __slots__ = ("branches",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "branches", tuple(tuple(b) for b in self.branches))
+    def __init__(self, branches: tuple[tuple[float, float], ...]):
+        _setattr(self, "branches", tuple(tuple(b) for b in branches))
         if not self.branches:
             raise ValueError("hyperexponential needs at least one branch")
         for prob, rate in self.branches:
@@ -212,16 +265,16 @@ class HyperExponential(ServiceDistribution):
         return f"hyperexp({inner})"
 
 
-@dataclass(frozen=True)
-class Uniform(ServiceDistribution):
-    lo: float
-    hi: float
+class Uniform(_Frozen, ServiceDistribution):
+    __slots__ = ("lo", "hi")
 
-    def __post_init__(self):
-        require_finite("uniform lower bound", self.lo, zero_ok=True)
-        require_finite("uniform upper bound", self.hi)
-        if not self.lo < self.hi:
-            raise ValueError(f"uniform bounds need lo < hi, got {self.lo!r}, {self.hi!r}")
+    def __init__(self, lo: float, hi: float):
+        _setattr(self, "lo", lo)
+        _setattr(self, "hi", hi)
+        require_finite("uniform lower bound", lo, zero_ok=True)
+        require_finite("uniform upper bound", hi)
+        if not lo < hi:
+            raise ValueError(f"uniform bounds need lo < hi, got {lo!r}, {hi!r}")
         self.check_moments()
 
     def mean(self) -> float:

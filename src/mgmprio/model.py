@@ -1,8 +1,6 @@
 """System description shared by the formula and simulation sides."""
 
-from dataclasses import dataclass
-
-from .distributions import ServiceDistribution, require_finite
+from .distributions import ServiceDistribution, _Frozen, _setattr, require_finite
 
 # erlang_c loops once per server for every class, and the simulator keeps a
 # list entry per server: far larger counts hang the one and overflow the other
@@ -13,32 +11,37 @@ class DomainError(ValueError):
     """An operation's mathematical preconditions do not hold."""
 
 
-@dataclass(frozen=True)
-class ClassSpec:
+class ClassSpec(_Frozen):
     """One priority class: Poisson arrival rate plus its service-time law."""
 
-    arrival_rate: float
-    service: ServiceDistribution
+    __slots__ = ("arrival_rate", "service")
 
-    def __post_init__(self):
-        require_finite("arrival rate", self.arrival_rate)
-        self.service.check_moments()
+    def __init__(self, arrival_rate: float, service: ServiceDistribution):
+        _setattr(self, "arrival_rate", arrival_rate)
+        _setattr(self, "service", service)
+        require_finite("arrival rate", arrival_rate)
+        service.check_moments()
 
 
-@dataclass(frozen=True)
-class SystemModel:
+class SystemModel(_Frozen):
     """Identical parallel servers and priority classes, highest priority first.
 
     Class indices are 1-based throughout the package: class 1 preempts
     everything below it, class ``len(classes)`` yields to everything above.
     """
 
-    servers: int
-    classes: tuple[ClassSpec, ...]
+    __slots__ = ("servers", "classes")
 
-    def __post_init__(self):
-        object.__setattr__(self, "classes", tuple(self.classes))
-        if not (isinstance(self.servers, int) and 1 <= self.servers <= _MAX_SERVERS):
-            raise ValueError(f"server count must be an integer from 1 to {_MAX_SERVERS}, got {self.servers!r}")
+    def __init__(self, servers: int, classes: tuple[ClassSpec, ...]):
+        _setattr(self, "servers", servers)
+        _setattr(self, "classes", tuple(classes))
+        # bool is an int, but True would render as a count no parser reads back
+        if not (isinstance(servers, int) and not isinstance(servers, bool) and 1 <= servers <= _MAX_SERVERS):
+            raise ValueError(f"server count must be an integer from 1 to {_MAX_SERVERS}, got {servers!r}")
         if not self.classes:
             raise ValueError("a model needs at least one class")
+        for k, spec in enumerate(self.classes, start=1):
+            # the closed forms divide by the load of the classes above a class,
+            # which a subnormal arrival rate rounds to 0
+            if not spec.arrival_rate * spec.service.mean() / servers > 0:
+                raise ValueError(f"class {k} load per server underflows to 0")

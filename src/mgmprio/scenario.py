@@ -12,9 +12,7 @@ comment (full-line or trailing).  Distribution specs follow
 whitespace.  Parse errors carry the 1-based line number.
 """
 
-from dataclasses import dataclass
-
-from .distributions import parse_distribution
+from .distributions import _Frozen, _setattr, parse_distribution
 from .model import ClassSpec, SystemModel
 
 __all__ = ["Scenario", "ScenarioError", "parse_scenario", "render_scenario"]
@@ -29,11 +27,13 @@ class ScenarioError(ValueError):
         super().__init__(prefix + message)
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(_Frozen):
     """A parsed model."""
 
-    model: SystemModel
+    __slots__ = ("model",)
+
+    def __init__(self, model: SystemModel):
+        _setattr(self, "model", model)
 
 
 def _class_spec(tokens: list[str]) -> ClassSpec:

@@ -125,7 +125,7 @@ class TraceInput:
             if t < last:
                 raise ValueError(f"trace times must be nondecreasing, entry {k} at {t!r} after {last!r}")
             require_finite(f"trace entry {k} service", service)
-            if not (isinstance(cls, int) and cls >= 1):
+            if not (isinstance(cls, int) and not isinstance(cls, bool) and cls >= 1):
                 raise ValueError(f"trace entry {k} has invalid class {cls!r}")
             last = t
 

@@ -1,6 +1,8 @@
 """Command-line behavior: dispatch, rendering, exit codes, determinism."""
 
 import ast
+import contextlib
+import io
 import os
 import shutil
 import subprocess
@@ -8,6 +10,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mgmprio
 from mgmprio import approx_metrics, parse_scenario
@@ -108,12 +112,82 @@ def test_scenario_parse_error_reports_file_and_line(capsys, tmp_path):
         # a server count this large would hang analytic and overflow simulate
         (100000000, "lambda=1 service=exp(1)", 1),
         (99999999999999999999, "lambda=1 service=exp(1)", 1),
+        (3, "lambda=5e-324 service=exp(1)", 1),
     ):
         cfg.write_text(f"servers {servers}\nclass {bad}\n")
         code, out, err = run_cli(capsys, "analytic", "--config", str(cfg))
         assert code == 1, bad
         assert out == "" and err.count("\n") == 1
         assert "bad.cfg" in err and f"line {line}" in err
+
+
+_NUMBERS = st.one_of(
+    st.sampled_from(["nan", "-nan", "inf", "-inf", "True", "False", "0", "-0.0", "-1", "1e308", "1e309",
+                     "5e-324", "2.2e-308", "1e-300", "10000", "10001", "99999999999999999999", "1_000",
+                     "0x10", "", "1e", "1.0.0"]),
+    st.integers(min_value=1, max_value=12).map(str),
+    st.floats(min_value=1e-3, max_value=1e3).map(repr),
+    st.integers(min_value=-(10**25), max_value=10**25).map(str),
+    st.floats().map(repr),
+)
+_SPECS = st.one_of(
+    st.builds("exp({})".format, _NUMBERS),
+    st.builds("det({})".format, _NUMBERS),
+    st.builds("erlang({},{})".format, _NUMBERS, _NUMBERS),
+    st.builds("uniform({},{})".format, _NUMBERS, _NUMBERS),
+    st.lists(st.builds("{}:{}".format, _NUMBERS, _NUMBERS), max_size=3).map(",".join).map("hyperexp({})".format),
+    st.builds("{}({})".format, st.sampled_from(["gauss", "EXP", "exp ", ""]),
+              st.lists(_NUMBERS, max_size=3).map(",".join)),
+)
+_TOKENS = st.one_of(
+    _NUMBERS,
+    _SPECS,
+    _NUMBERS.map("lambda={}".format),
+    _SPECS.map("service={}".format),
+    st.sampled_from(["servers", "class", "lambda=", "service=", "=", "rate=1", "#", "lambda=1=2"]),
+)
+_LINES = st.one_of(
+    st.builds("servers {}".format, _NUMBERS),
+    st.builds("class lambda={} service={}".format, _NUMBERS, _SPECS),
+    st.lists(_TOKENS, max_size=4).map(" ".join),
+)
+_SHIPPED_LINES = [(SCENARIO_DIR / name).read_text().splitlines()
+                  for name in ("paper_s4.cfg", "mm3_identical.cfg", "md1_two_class.cfg")]
+
+
+@st.composite
+def _fuzzed_scenarios(draw):
+    """A shipped scenario with lines replaced, inserted, deleted or retokenized."""
+    lines = list(draw(st.sampled_from(_SHIPPED_LINES)))
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.integers(0, len(lines)))
+        action = draw(st.sampled_from(["replace", "insert", "delete", "token"]))
+        if action == "insert" or k == len(lines):
+            lines.insert(k, draw(_LINES))
+        elif action == "replace":
+            lines[k] = draw(_LINES)
+        elif action == "delete":
+            del lines[k]
+        else:
+            tokens = lines[k].split() or [""]
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(_TOKENS)
+            lines[k] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=_fuzzed_scenarios(), mode=st.sampled_from(["approx", "exact-m1", "exact-mm-identical"]))
+def test_analytic_survives_fuzzed_scenarios(tmp_path_factory, text, mode):
+    # every scenario either evaluates, is refused as a bad value (1) or is
+    # outside the mode's domain (2), with one line of explanation
+    cfg = tmp_path_factory.getbasetemp() / "fuzzed.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["analytic", "--config", str(cfg), "--mode", mode])
+    assert code in (0, 1, 2), (code, err.getvalue())
+    assert err.getvalue().count("\n") <= 1 and "Traceback" not in err.getvalue()
+    assert (code == 0) == (err.getvalue() == "")
 
 
 @pytest.mark.parametrize(
@@ -182,6 +256,8 @@ def test_analytic_path_does_not_import_numpy():
     imported = [line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")]
     assert "mgmprio.cli" in imported
     assert not [name for name in imported if name.split(".")[0] == "numpy"]
+    # dataclasses loads inspect, ast, dis and tokenize, which cost more than the package itself
+    assert "dataclasses" not in imported and "inspect" not in imported
 
 
 def test_help_exits_zero(capsys):

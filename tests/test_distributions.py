@@ -13,6 +13,7 @@ from mgmprio import (
     HyperExponential,
     RandomStream,
     ServiceDistribution,
+    SystemModel,
     Uniform,
     parse_distribution,
     substreams,
@@ -205,6 +206,10 @@ def test_law_defining_no_sampling_path_refuses_to_sample():
         lambda: HyperExponential(((1.0, math.inf),)),
         lambda: ClassSpec(1.0, _InfiniteSecondMoment()),
         lambda: Erlang(100_000_000, 1e8),  # each variate would draw 10^8 uniforms
+        # bool is an int, but a count of True renders as text no parser reads back
+        lambda: Erlang(True, 2.0),
+        lambda: SystemModel(True, (ClassSpec(1.0, Exponential(1.0)),)),
+        lambda: SystemModel(2, (ClassSpec(1.0, Erlang(True, 2.0)),)),
     ],
 )
 def test_invalid_parameters_rejected(build):

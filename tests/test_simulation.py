@@ -287,7 +287,8 @@ def test_trace_validation():
         TraceInput([(0.0, 1, 0.0)])
     with pytest.raises(ValueError):
         TraceInput([(0.0, 0, 1.0)])
-    for bad in [(math.nan, 1, 1.0), (-1.0, 1, 1.0), (math.inf, 1, 1.0), (0.0, 1, math.inf), (0.0, 1, math.nan)]:
+    for bad in [(math.nan, 1, 1.0), (-1.0, 1, 1.0), (math.inf, 1, 1.0), (0.0, 1, math.inf), (0.0, 1, math.nan),
+                (0.0, True, 1.0)]:
         with pytest.raises(ValueError):
             TraceInput([bad])
 
