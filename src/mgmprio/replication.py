@@ -6,9 +6,23 @@ the first n of a larger replication set coincide with a smaller one.
 Interval estimates use Student-t quantiles at 95 percent on the
 replication means, which is the standard small-sample treatment for
 independent replications.
+
+Replications run in lanes, one per CPU in the process's affinity mask
+(``os.sched_getaffinity``, so ``taskset`` limits them) and never more
+than there are replications.  Lane 0 runs in the calling process; on
+Linux each other lane is an ``os.fork`` child that pipes back, per
+replication, only its truncation flag, counted completions and per-class
+raw estimators.  The results are put back in seed order before they are
+aggregated, so every estimate, half-width and count is bit-identical for
+any lane count.  Where the platform lacks ``os.fork`` or
+``os.sched_getaffinity`` there is one lane and no child.  Untested limit:
+numpy's OpenBLAS starts a thread at import, and Python 3.12 and later
+warn when a multi-threaded process forks.
 """
 
 import math
+import os
+import pickle
 import time
 from dataclasses import dataclass, replace
 
@@ -111,6 +125,89 @@ def rep_seeds(base_seed: int, n_reps: int) -> tuple[int, ...]:
     return tuple(int(s) for s in state)
 
 
+def _run_reps(model: SystemModel, policy: PolicyConfig, base_cfg: RunConfig, seeds: tuple[int, ...]) -> list[tuple]:
+    """Each seed's ``(truncated, counted completions, per_class_raw)``, in seed order."""
+    reps = []
+    for seed in seeds:
+        result = run(model, policy, replace(base_cfg, seed=seed))
+        reps.append((result.truncated, result.counted_completions, per_class_raw(result.records, model)))
+        del result  # free this rep's job log before the next rep builds its own
+    return reps
+
+
+def _fork_lane(model: SystemModel, policy: PolicyConfig, base_cfg: RunConfig, seeds: tuple[int, ...]):
+    """Fork a child that runs ``seeds`` with :func:`_run_reps`; returns its pid and the pipe it writes.
+
+    The child pickles ``(True, reps)`` or ``(False, exception)`` into the
+    pipe and leaves by ``os._exit``, so it runs no exit handlers and
+    flushes none of the stdio buffers it inherited.  Its exit status is 0
+    only when the whole message was written.
+    """
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            try:
+                message = (True, _run_reps(model, policy, base_cfg, seeds))
+            except BaseException as exc:  # the caller re-raises it
+                message = (False, exc)
+            with open(write_fd, "wb") as pipe:
+                pickle.dump(message, pipe)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")
+
+
+def _run_lanes(model: SystemModel, policy: PolicyConfig, base_cfg: RunConfig, seeds: tuple[int, ...]) -> list[tuple]:
+    """:func:`_run_reps` over ``seeds``, split into contiguous lanes, one per usable CPU.
+
+    Lane 0 runs here, each other lane in a forked child.  A child's
+    exception is re-raised here; a child that sends no result raises
+    RuntimeError.  Every child is reaped before this returns or raises,
+    and on an error the ones still running are killed first.
+    """
+    lanes = 1
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        lanes = min(len(seeds), len(os.sched_getaffinity(0)))
+    cuts = [len(seeds) * k // lanes for k in range(lanes + 1)]
+    chunks = [seeds[a:b] for a, b in zip(cuts, cuts[1:])]
+    children = []  # (pid, pipe, seeds) of the children not yet reaped, in lane order
+    try:
+        for chunk in chunks[1:]:
+            children.append((*_fork_lane(model, policy, base_cfg, chunk), chunk))
+        reps = _run_reps(model, policy, base_cfg, chunks[0])
+        while children:
+            pid, pipe, chunk = children[0]
+            data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            del children[0]
+            pipe.close()
+            code = os.waitstatus_to_exitcode(status)
+            if code != 0 or not data:
+                raise RuntimeError(f"the replication lane of seeds {list(chunk)} ended "
+                                   f"with exit code {code} and sent no result")
+            ok, payload = pickle.loads(data)
+            if not ok:
+                raise payload
+            reps.extend(payload)
+        return reps
+    finally:
+        for pid, _, _ in children:
+            os.kill(pid, 9)  # SIGKILL is 9 on every POSIX system; this spares loading the signal module
+        for pid, pipe, _ in children:
+            os.waitpid(pid, 0)
+            pipe.close()
+
+
 def replicate(model: SystemModel, policy: PolicyConfig, base_cfg, n_reps: int) -> SimulationReport:
     """Run ``n_reps`` independent replications and aggregate the estimates.
 
@@ -122,15 +219,9 @@ def replicate(model: SystemModel, policy: PolicyConfig, base_cfg, n_reps: int) -
     if n_reps < 1:
         raise ValueError("n_reps must be at least 1")
     started = time.perf_counter()
-    truncated = False
-    completions = []
+    reps = _run_lanes(model, policy, base_cfg, rep_seeds(base_cfg.seed, n_reps))
     samples: dict[int, dict[str, list[float]]] = {}
-    for seed in rep_seeds(base_cfg.seed, n_reps):
-        result = run(model, policy, replace(base_cfg, seed=seed))
-        truncated = truncated or result.truncated
-        completions.append(result.counted_completions)
-        raw = per_class_raw(result.records, model)
-        del result  # free this rep's job log before the next rep builds its own
+    for _, _, raw in reps:
         for cls, stats_ in raw.items():
             per_metric = samples.setdefault(cls, {name: [] for name in METRIC_NAMES})
             for name in METRIC_NAMES:
@@ -153,9 +244,9 @@ def replicate(model: SystemModel, policy: PolicyConfig, base_cfg, n_reps: int) -
 
     metadata = ReplicationMetadata(
         base_seed=base_cfg.seed,
-        completions_per_rep=tuple(completions),
+        completions_per_rep=tuple(completions for _, completions, _ in reps),
         wall_clock_seconds=time.perf_counter() - started,
-        truncated=truncated,
+        truncated=any(truncated for truncated, _, _ in reps),
     )
     return SimulationReport(classes=classes, metadata=metadata)
 

@@ -317,15 +317,24 @@ def test_simulate_truncation_exits_three(capsys):
     assert "TRUNCATED" in out
 
 
-def test_simulate_exits_three_when_no_class_arrives(capsys, tmp_path):
+def assert_no_arrival_run_truncates(capsys, tmp_path, reps):
     # the only class's gaps overflow to inf, so the run ends with no job counted
     cfg = tmp_path / "subnormal.cfg"
     cfg.write_text("servers 1\nclass lambda=5e-324 service=exp(1.0)\n")
-    code, out, err = run_cli(capsys, "simulate", "--config", str(cfg), "--jobs", "5", "--reps", "2")
+    code, out, err = run_cli(capsys, "simulate", "--config", str(cfg), "--jobs", "5", "--reps", reps)
     assert code == 3 and err == ""
     assert "nan" not in out
     tail = out.splitlines()[-1]
     assert "completions=0" in tail and tail.endswith(" TRUNCATED")
+
+
+def test_simulate_exits_three_when_no_class_arrives(capsys, tmp_path):
+    assert_no_arrival_run_truncates(capsys, tmp_path, "2")
+
+
+def test_simulate_exits_three_through_child_lanes(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert_no_arrival_run_truncates(capsys, tmp_path, "3")
 
 
 def test_simulate_accepts_policy_flags(capsys):
@@ -418,9 +427,15 @@ def test_patched_replication_run_intercepts_replicate(monkeypatch):
         return inner(*args, **kwargs)
 
     monkeypatch.setattr(mgmprio.replication, "run", counted)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     model = parse_scenario(Path(MD1_CFG).read_text(encoding="utf-8")).model
     mgmprio.replicate(model, mgmprio.PolicyConfig(), mgmprio.RunConfig(seed=1, target_completions=50), 3)
     assert len(calls) == 3
+    # with two lanes the calling process runs lane 0's reps, the first of three, and only those
+    calls.clear()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    mgmprio.replicate(model, mgmprio.PolicyConfig(), mgmprio.RunConfig(seed=1, target_completions=50), 3)
+    assert [cfg.seed for _, _, cfg in calls] == list(mgmprio.replication.rep_seeds(1, 3)[:1])
 
 
 @pytest.mark.skipif(shutil.which("mgmprio") is None, reason="no mgmprio executable on PATH")
@@ -452,14 +467,23 @@ def test_console_script_target_runs_without_install():
     assert proc.stdout.splitlines()[0] == ANALYTIC_CSV_HEADER
 
 
-@pytest.mark.parametrize("command", ["analytic", "simulate", "compare"])
-def test_closed_stdout_exits_one_without_traceback(command):
+# the ``mgmprio`` command line, run with two usable CPUs whatever the host has
+TWO_LANE_ENTRY = ["-c", "import os; os.sched_getaffinity = lambda pid: {0, 1}; from mgmprio.cli import entry; entry()"]
+
+
+@pytest.mark.parametrize("entry, command", [
+    (["-m", "mgmprio"], "analytic"),
+    (["-m", "mgmprio"], "simulate"),
+    (["-m", "mgmprio"], "compare"),
+    (TWO_LANE_ENTRY, "simulate"),
+], ids=["analytic", "simulate", "compare", "simulate-two-lanes"])
+def test_closed_stdout_exits_one_without_traceback(entry, command):
     sim = [] if command == "analytic" else ["--jobs", "2000", "--reps", "2"]
     package_root = Path(mgmprio.__file__).resolve().parent.parent
     # stdout buffered, as by default, so the failing write may come as late as the final flush
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     proc = subprocess.Popen(
-        [sys.executable, "-m", "mgmprio", command, "--config", PAPER_S4_CFG, *sim],
+        [sys.executable, *entry, command, "--config", PAPER_S4_CFG, *sim],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         env={**env, "PYTHONPATH": str(package_root)},
     )

@@ -1,7 +1,8 @@
 """Replication seeding, interval estimates, and comparison-table behavior."""
 
 import math
-from dataclasses import fields
+import os
+from dataclasses import fields, replace
 
 import pytest
 import scipy.stats as sps
@@ -14,6 +15,7 @@ from mgmprio import (
     RawClassStats,
     ReplicationMetadata,
     RunConfig,
+    ServiceDistribution,
     SimulationReport,
     SystemModel,
     TraceInput,
@@ -196,11 +198,110 @@ def test_compare_flags_unstable_and_unobserved():
     assert top_u.sim_mean is None and top_u.covered is None
 
 
+def force_cpus(monkeypatch, cpus: int) -> list[int]:
+    """Make ``replicate`` see ``cpus`` usable CPUs; returns the pids of the children it forks."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    forked = []
+    fork = os.fork
+
+    def recorded_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recorded_fork)
+    return forked
+
+
 def test_truncation_propagates_to_metadata():
     cfg = RunConfig(seed=4, target_completions=10**7, warmup_time=0.0, max_simulated_time=30.0)
     report = replicate(MM3, LIFO, cfg, 2)
     assert report.metadata.truncated
     assert all(c < 10**7 for c in report.metadata.completions_per_rep)
+
+
+def test_truncation_propagates_from_a_child_lane(monkeypatch):
+    forked = force_cpus(monkeypatch, 2)
+    test_truncation_propagates_to_metadata()
+    # a truncation that only the child's rep reports
+    child_seed = rep_seeds(4, 2)[1]
+    inner = replication.run
+
+    def truncated_on_child_seed(model, policy, cfg):
+        return replace(inner(model, policy, cfg), truncated=cfg.seed == child_seed)
+
+    monkeypatch.setattr(replication, "run", truncated_on_child_seed)
+    report = replicate(MM3, LIFO, RunConfig(seed=4, target_completions=500), 2)
+    assert report.metadata.truncated
+    assert len(forked) == 2
+
+
+@pytest.mark.parametrize("n_reps", [1, 2, 5])
+@pytest.mark.parametrize("model", [FOUR_CLASS, MM3], ids=["four_class", "mm3"])
+def test_estimates_are_bit_identical_for_any_lane_count(monkeypatch, model, n_reps):
+    cfg = RunConfig(seed=23, target_completions=1500, warmup_time=10.0)
+    reports = []
+    for cpus in (1, 2, 3, 8):
+        forked = force_cpus(monkeypatch, cpus)
+        reports.append(replicate(model, LIFO, cfg, n_reps))
+        assert len(forked) == min(n_reps, cpus) - 1
+    for report in reports[1:]:
+        assert report.classes == reports[0].classes
+        assert report.metadata.completions_per_rep == reports[0].metadata.completions_per_rep
+        assert report.metadata.truncated == reports[0].metadata.truncated
+
+
+class FailingService(ServiceDistribution):
+    """Exponential service whose sampling calls ``fail`` in forked children only, or in its creator only."""
+
+    def __init__(self, fail, in_child: bool):
+        self.pid, self.fail, self.in_child = os.getpid(), fail, in_child
+        self.law = Exponential(2.0)
+
+    def mean(self) -> float:
+        return self.law.mean()
+
+    def second_moment(self) -> float:
+        return self.law.second_moment()
+
+    def sample_block(self, stream, n: int):
+        if (os.getpid() != self.pid) == self.in_child:
+            self.fail()
+        return self.law.sample_block(stream, n)
+
+    def spec(self) -> str:
+        return self.law.spec()
+
+
+def boom():
+    raise ValueError("boom")
+
+
+def die():
+    os._exit(9)
+
+
+@pytest.mark.parametrize(
+    "fail, in_child, raised, match",
+    [
+        (boom, True, ValueError, "^boom$"),
+        (die, True, RuntimeError, "exit code 9"),
+        (boom, False, ValueError, "^boom$"),
+    ],
+    ids=["child-raises", "child-dies", "caller-raises"],
+)
+def test_lane_failures_reach_the_caller_and_leave_no_child(monkeypatch, fail, in_child, raised, match):
+    # caller-raises: lane 0 fails while the child still runs, so the child is killed, then reaped
+    forked = force_cpus(monkeypatch, 2)
+    model = SystemModel(1, [ClassSpec(0.5, FailingService(fail, in_child))])
+    with pytest.raises(raised, match=match) as info:
+        replicate(model, LIFO, RunConfig(seed=3, target_completions=200), 3)
+    assert len(forked) == 1
+    if raised is RuntimeError:
+        assert all(str(seed) in str(info.value) for seed in rep_seeds(3, 3)[1:])
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_common_random_numbers_across_policies():
