@@ -11,53 +11,26 @@ replication statistics to compare the two.
 
 from importlib import import_module
 
-from .analytic import (
-    METRIC_NAMES,
-    ClassMetrics,
-    IdentityResiduals,
-    LoadProfile,
-    approx_metrics,
-    check_identities,
-    erlang_c,
-    exact_mmm_identical,
-    exact_single_channel,
-    loads,
-)
-from .distributions import (
-    Deterministic,
-    Erlang,
-    Exponential,
-    HyperExponential,
-    ServiceDistribution,
-    Uniform,
-    parse_distribution,
-)
-from .model import ClassSpec, DomainError, SystemModel
-from .scenario import Scenario, ScenarioError, parse_scenario, render_scenario
+from .analytic import *
+from .distributions import *
+from .model import *
+from .scenario import *
+from . import analytic, distributions, model, scenario
 
 # The simulating modules import numpy, which costs several times the rest of
 # the package; their names load on first access (PEP 562), so the closed
 # forms and the scenario parser never pay for it.
 _LAZY = {
-    "ClassEstimate": "replication",
-    "ComparisonRow": "replication",
-    "ReplicationMetadata": "replication",
-    "SimulationReport": "replication",
-    "compare": "replication",
-    "replicate": "replication",
-    "JOB_RECORD_CSV_HEADER": "simulation",
-    "JobLog": "simulation",
-    "JobRecord": "simulation",
-    "PolicyConfig": "simulation",
-    "RawClassStats": "simulation",
-    "RunConfig": "simulation",
-    "RunResult": "simulation",
-    "TraceInput": "simulation",
-    "per_class_raw": "simulation",
-    "run": "simulation",
-    "write_job_records": "simulation",
-    "RandomStream": "streams",
-    "substreams": "streams",
+    **dict.fromkeys(
+        ("ClassEstimate", "ComparisonRow", "ReplicationMetadata", "SimulationReport", "compare", "replicate"),
+        "replication",
+    ),
+    **dict.fromkeys(
+        ("JOB_RECORD_CSV_HEADER", "JobLog", "JobRecord", "PolicyConfig", "RawClassStats", "RunConfig",
+         "RunResult", "TraceInput", "per_class_raw", "run", "write_job_records"),
+        "simulation",
+    ),
+    **dict.fromkeys(("RandomStream", "substreams"), "streams"),
 }
 
 
@@ -76,48 +49,4 @@ def __dir__():
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ClassMetrics",
-    "IdentityResiduals",
-    "LoadProfile",
-    "approx_metrics",
-    "check_identities",
-    "erlang_c",
-    "exact_mmm_identical",
-    "exact_single_channel",
-    "loads",
-    "Deterministic",
-    "Erlang",
-    "Exponential",
-    "HyperExponential",
-    "ServiceDistribution",
-    "Uniform",
-    "parse_distribution",
-    "ClassSpec",
-    "DomainError",
-    "SystemModel",
-    "METRIC_NAMES",
-    "ClassEstimate",
-    "ComparisonRow",
-    "ReplicationMetadata",
-    "SimulationReport",
-    "compare",
-    "replicate",
-    "Scenario",
-    "ScenarioError",
-    "parse_scenario",
-    "render_scenario",
-    "JOB_RECORD_CSV_HEADER",
-    "JobLog",
-    "JobRecord",
-    "PolicyConfig",
-    "RawClassStats",
-    "RunConfig",
-    "RunResult",
-    "TraceInput",
-    "per_class_raw",
-    "run",
-    "write_job_records",
-    "RandomStream",
-    "substreams",
-]
+__all__ = [*analytic.__all__, *distributions.__all__, *model.__all__, *scenario.__all__, *_LAZY]

@@ -38,7 +38,7 @@ import numbers
 from itertools import accumulate
 from typing import TYPE_CHECKING
 
-from .distributions import _Frozen, _setattr
+from .distributions import Exponential, _Frozen, _setattr
 from .model import DomainError, SystemModel
 
 if TYPE_CHECKING:
@@ -224,11 +224,7 @@ def exact_mmm_identical(model: SystemModel) -> list[ClassMetrics]:
     Raises DomainError if any class is not exponential or the rates differ
     by more than a relative 1e-12.
     """
-    from .distributions import Exponential
-
     first = model.classes[0].service
-    if not isinstance(first, Exponential):
-        raise DomainError("identical-exponential formulas need exponential service in every class")
     for c in model.classes:
         if not isinstance(c.service, Exponential):
             raise DomainError("identical-exponential formulas need exponential service in every class")

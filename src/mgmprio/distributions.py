@@ -30,6 +30,16 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:
     import numpy as np
 
+__all__ = [
+    "ServiceDistribution",
+    "Exponential",
+    "Deterministic",
+    "Erlang",
+    "HyperExponential",
+    "Uniform",
+    "parse_distribution",
+]
+
 _PROB_SUM_TOL = 1e-12
 # each Erlang variate costs ``shape`` uniforms; the squared coefficient of
 # variation is 1/shape, so at this cap it is already <= 0.001, and det()

@@ -2,6 +2,8 @@
 
 from .distributions import ServiceDistribution, _Frozen, _setattr, require_finite
 
+__all__ = ["ClassSpec", "DomainError", "SystemModel"]
+
 # erlang_c loops once per server for every class, and the simulator keeps a
 # list entry per server: far larger counts hang the one and overflow the other
 _MAX_SERVERS = 10_000

@@ -208,8 +208,11 @@ def test_single_channel_rejects_multiserver():
 
 
 def test_mmm_rejects_non_exponential():
-    with pytest.raises(DomainError):
-        exact_mmm_identical(MD1_MODEL)
+    # the first class fails in one model, only a lower class in the other
+    exp_then_det = SystemModel(2, [ClassSpec(0.5, Exponential(1.0)), ClassSpec(0.5, Deterministic(1.0))])
+    for model in (MD1_MODEL, exp_then_det):
+        with pytest.raises(DomainError, match="exponential service in every class"):
+            exact_mmm_identical(model)
 
 
 def test_mmm_rejects_mismatched_rates():

@@ -391,6 +391,11 @@ def test_compare_default_mode_is_approx(capsys):
 
 def test_package_names_resolve_lazily_to_their_definitions():
     code = ("import importlib, sys, mgmprio\n"
+            "eager = {n for m in ('analytic', 'distributions', 'model', 'scenario')\n"
+            "         for n in sys.modules['mgmprio.' + m].__all__}\n"
+            "assert eager <= set(vars(mgmprio)), eager - set(vars(mgmprio))\n"
+            "assert not set(mgmprio._LAZY) & set(vars(mgmprio)), set(mgmprio._LAZY) & set(vars(mgmprio))\n"
+            "assert len(mgmprio.__all__) == len(set(mgmprio.__all__))\n"
             "listed = set(dir(mgmprio))\n"
             "assert set(mgmprio.__all__) <= listed, set(mgmprio.__all__) - listed\n"
             "try:\n"
@@ -407,7 +412,7 @@ def test_package_names_resolve_lazily_to_their_definitions():
             "for name in mgmprio.__all__:\n"
             "    homes = [vars(m)[name] for m in modules if name in vars(m)]\n"
             "    assert homes and all(h is getattr(mgmprio, name) is namespace[name] for h in homes), name\n"
-            "for m in modules[-3:]:\n"
+            "for m in modules:\n"
             "    assert set(m.__all__) <= set(mgmprio.__all__), (m.__name__, set(m.__all__) - set(mgmprio.__all__))\n")
     package_root = Path(mgmprio.__file__).resolve().parent.parent
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
