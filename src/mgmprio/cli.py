@@ -9,8 +9,11 @@ Subcommands::
 Exit status: 0 on success, 1 on usage or scenario-parse errors and on
 invalid values, non-finite ones included, 2 when the model is outside the
 requested mode's domain, 3 when a simulation was truncated (by the time
-cap, or as no class arrives any more).  Tables round to 6 significant digits; CSV output keeps full double
-precision and, for a fixed seed, is byte-stable across invocations.
+cap, or as no class arrives any more).  Each subcommand builds its rows
+once for one emitter: tables round to 6 significant digits, CSV keeps full
+double precision and, for a fixed seed, is byte-stable across invocations.
+``compare`` leaves ``covered`` blank when fewer than 2 replications
+observed the metric.
 """
 
 import argparse
@@ -84,10 +87,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _sig6(x) -> str:
-    return "" if x is None else format(x, ".6g")
-
-
 def _full(x) -> str:
     if x is None:
         return ""
@@ -98,71 +97,28 @@ def _full(x) -> str:
     return str(x)
 
 
-def _analytic_lines(metrics, fmt):
+def _cell(x) -> str:
+    if x is None:
+        return ""
+    if isinstance(x, bool):
+        return "yes" if x else "NO"
+    if isinstance(x, float):
+        return format(x, ".6g")
+    return str(x)
+
+
+def _lines(fmt, csv_header, rows, table_header=None, table_rows=None):
+    """Render ``rows`` as CSV under ``csv_header``, or as an aligned table.
+
+    The table takes its header from the CSV header unless ``table_header``
+    is given, and its rows from ``rows`` unless ``table_rows`` is.
+    """
     if fmt == "csv":
-        yield ANALYTIC_CSV_HEADER
-        for cls, m in enumerate(metrics, start=1):
-            for name in METRIC_NAMES:
-                yield f"{cls},{name},{_full(getattr(m, name))},{_full(m.stable)}"
-        return
-    header = ("class",) + tuple(METRIC_NAMES)
-    rows = []
-    for cls, m in enumerate(metrics, start=1):
-        if m.stable:
-            rows.append((str(cls),) + tuple(_sig6(getattr(m, name)) for name in METRIC_NAMES))
-        else:
-            rows.append((str(cls), "UNSTABLE", "", "", "", "", ""))
-    yield from _tabulate(header, rows)
-
-
-def _report_lines(report, fmt):
-    if fmt == "csv":
-        yield SIMULATE_CSV_HEADER
-        for cls in sorted(report.classes):
-            for name in METRIC_NAMES:
-                est = report.classes[cls][name]
-                yield f"{cls},{name},{_full(est.estimate)},{_full(est.ci_half_width)},{est.replications}"
-        return
-    header = ("class", "metric", "estimate", "ci95", "reps")
-    rows = []
-    for cls in sorted(report.classes):
-        for name in METRIC_NAMES:
-            est = report.classes[cls][name]
-            rows.append((str(cls), name, _sig6(est.estimate), _sig6(est.ci_half_width), str(est.replications)))
-    yield from _tabulate(header, rows)
-    md = report.metadata
-    yield (f"# reps={len(md.completions_per_rep)} seed={md.base_seed}"
-           f" completions={sum(md.completions_per_rep)} wall={md.wall_clock_seconds:.2f}s"
-           + (" TRUNCATED" if md.truncated else ""))
-
-
-def _compare_lines(rows, fmt):
-    if fmt == "csv":
-        yield COMPARE_CSV_HEADER
-        for r in rows:
-            yield (f"{r.class_index},{r.metric},{_full(r.analytic)},{_full(r.sim_mean)},"
-                   f"{_full(r.sim_ci_half_width)},{_full(r.abs_error)},{_full(r.rel_error)},"
-                   f"{_full(r.covered)}")
-        return
-    header = ("class", "metric", "analytic", "sim_mean", "sim_ci95", "abs_err", "rel_err", "covered")
-    table = []
-    for r in rows:
-        covered = "" if r.covered is None else ("yes" if r.covered else "NO")
-        table.append((str(r.class_index), r.metric, _sig6(r.analytic), _sig6(r.sim_mean),
-                      _sig6(r.sim_ci_half_width), _sig6(r.abs_error), _sig6(r.rel_error), covered))
-    yield from _tabulate(header, table)
-
-
-def _tabulate(header, rows):
-    widths = [len(h) for h in header]
-    for row in rows:
-        for k, cell in enumerate(row):
-            widths[k] = max(widths[k], len(cell))
-    def fmt_row(row):
-        return "  ".join(cell.ljust(widths[k]) for k, cell in enumerate(row)).rstrip()
-    yield fmt_row(header)
-    for row in rows:
-        yield fmt_row(row)
+        return [csv_header, *(",".join(map(_full, row)) for row in rows)]
+    cells = [table_header or csv_header.split(","),
+             *([_cell(x) for x in row] for row in table_rows or rows)]
+    widths = [max(map(len, column)) for column in zip(*cells)]
+    return ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in cells]
 
 
 def main(argv=None) -> int:
@@ -193,8 +149,13 @@ def main(argv=None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         if args.command == "analytic":
-            for line in _analytic_lines(metrics, args.format):
-                print(line)
+            rows = [(cls, name, getattr(m, name), m.stable)
+                    for cls, m in enumerate(metrics, start=1) for name in METRIC_NAMES]
+            # the table is wide, one row per class; an unstable class has no metrics
+            wide = [(cls, *(getattr(m, name) for name in METRIC_NAMES)) if m.stable
+                    else (cls, "UNSTABLE") + (None,) * (len(METRIC_NAMES) - 1)
+                    for cls, m in enumerate(metrics, start=1)]
+            print("\n".join(_lines(args.format, ANALYTIC_CSV_HEADER, rows, ("class", *METRIC_NAMES), wide)))
             return 0
 
     # the simulator loads numpy; the analytic subcommand never needs it
@@ -211,11 +172,19 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.command == "simulate":
-        lines = _report_lines(report, args.format)
+        rows = [(cls, name, est[name].estimate, est[name].ci_half_width, est[name].replications)
+                for cls, est in sorted(report.classes.items()) for name in METRIC_NAMES]
+        lines = _lines(args.format, SIMULATE_CSV_HEADER, rows, ("class", "metric", "estimate", "ci95", "reps"))
+        if args.format == "table":
+            md = report.metadata
+            lines.append(f"# reps={len(md.completions_per_rep)} seed={md.base_seed}"
+                         f" completions={sum(md.completions_per_rep)} wall={md.wall_clock_seconds:.2f}s"
+                         + (" TRUNCATED" if md.truncated else ""))
     else:
-        lines = _compare_lines(compare(report, metrics), args.format)
-    for line in lines:
-        print(line)
+        rows = [(r.class_index, r.metric, r.analytic, r.sim_mean, r.sim_ci_half_width, r.abs_error,
+                 r.rel_error, r.covered) for r in compare(report, metrics)]
+        lines = _lines(args.format, COMPARE_CSV_HEADER, rows)
+    print("\n".join(lines))
     return 3 if report.metadata.truncated else 0
 
 

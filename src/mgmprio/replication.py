@@ -104,19 +104,13 @@ def _t975(df: int) -> float:
         t += step
 
 
-def _t_half_width(values: list[float], quantiles: dict[int, float]) -> float:
-    """95 percent half-width of the mean of ``values``.
-
-    ``quantiles`` caches the t quantile by replication count, so a
-    ``replicate`` call evaluates it once for each distinct count.
-    """
+def _t_half_width(values: list[float]) -> float:
+    """95 percent half-width of the mean of ``values``; 0.0 for fewer than two."""
     n = len(values)
     if n < 2:
         return 0.0
-    if n not in quantiles:
-        quantiles[n] = _t975(n - 1)
     sd = float(np.std(values, ddof=1))
-    return quantiles[n] * sd / math.sqrt(n)
+    return _t975(n - 1) * sd / math.sqrt(n)
 
 
 def rep_seeds(base_seed: int, n_reps: int) -> tuple[int, ...]:
@@ -230,14 +224,13 @@ def replicate(model: SystemModel, policy: PolicyConfig, base_cfg, n_reps: int) -
                     per_metric[name].append(value)
 
     classes: dict[int, dict[str, ClassEstimate]] = {}
-    quantiles: dict[int, float] = {}
     for cls in sorted(samples):
         row = {}
         for name in METRIC_NAMES:
             values = samples[cls][name]
             row[name] = ClassEstimate(
                 estimate=math.fsum(values) / len(values) if values else None,
-                ci_half_width=_t_half_width(values, quantiles) if values else None,
+                ci_half_width=_t_half_width(values) if values else None,
                 replications=len(values),
             )
         classes[cls] = row
@@ -256,7 +249,9 @@ class ComparisonRow:
     """One class-and-metric line of the formula-vs-simulation table.
 
     ``covered`` says whether the analytic value lies inside the simulated
-    95 percent interval; it is None when either side is unavailable.
+    95 percent interval; it is None when either side is unavailable, and
+    when fewer than two replications observed the metric, since then no
+    interval exists (``sim_ci_half_width`` is then 0.0).
     ``rel_error`` is None when the analytic value is zero (or missing).
     """
 
@@ -286,7 +281,8 @@ def compare(report: SimulationReport, analytic: list[ClassMetrics]) -> list[Comp
             else:
                 abs_err = abs(a - sim_mean)
                 rel_err = abs_err / abs(a) if a != 0 else None
-                covered = abs_err <= hw
+                # one replication gives no interval, only a zero half-width
+                covered = abs_err <= hw if est.replications >= 2 else None
             rows.append(
                 ComparisonRow(
                     class_index=cls,

@@ -388,10 +388,10 @@ class RawClassStats:
     ``p`` delayed fraction, ``u`` mean initial delay of the delayed jobs,
     ``h`` preemptions per job, ``g`` mean interruption (summed interruption
     time over the interruption count, so long interruptions weigh in
-    proportionally), ``w`` mean wait (sojourn minus service) and ``v`` mean
-    sojourn.  A metric the run did not observe is None: ``u`` when no job
-    was delayed, ``g`` when none was preempted, and all six when the class
-    counted no job.
+    proportionally), ``w`` mean wait (initial delay plus interruptions, so
+    sojourn minus service up to rounding) and ``v`` mean sojourn.  A metric
+    the run did not observe is None: ``u`` when no job was delayed, ``g``
+    when none was preempted, and all six when the class counted no job.
     """
 
     count: int
@@ -413,13 +413,11 @@ def per_class_raw(log: JobLog, model: SystemModel) -> dict[int, RawClassStats]:
     """
     n_classes = len(model.classes)
     sojourns = [[] for _ in range(n_classes + 1)]
-    services = [[] for _ in range(n_classes + 1)]
     delays = [[] for _ in range(n_classes + 1)]
     int_totals = [[] for _ in range(n_classes + 1)]
     int_counts = [0] * (n_classes + 1)
-    for cls, arrival, service, first_start, completion, intervals in zip(*log._columns):
+    for cls, arrival, _, first_start, completion, intervals in zip(*log._columns):
         sojourns[cls].append(completion - arrival)
-        services[cls].append(service)
         if first_start > arrival:
             delays[cls].append(first_start - arrival)
         if intervals:
@@ -432,17 +430,19 @@ def per_class_raw(log: JobLog, model: SystemModel) -> dict[int, RawClassStats]:
         if not n:
             out[cls] = RawClassStats(count=0)
             continue
-        v = math.fsum(sojourns[cls]) / n
         n_delayed = len(delays[cls])
         int_count = int_counts[cls]
+        delay_sum = math.fsum(delays[cls])
+        int_sum = math.fsum(int_totals[cls])
         out[cls] = RawClassStats(
             count=n,
             p=n_delayed / n,
-            u=math.fsum(delays[cls]) / n_delayed if n_delayed else None,
+            u=delay_sum / n_delayed if n_delayed else None,
             h=int_count / n,
-            g=math.fsum(int_totals[cls]) / int_count if int_count else None,
-            w=v - math.fsum(services[cls]) / n,
-            v=v,
+            g=int_sum / int_count if int_count else None,
+            # a job waits while delayed or interrupted, so one never held up adds an exact 0
+            w=(delay_sum + int_sum) / n,
+            v=math.fsum(sojourns[cls]) / n,
             interruption_count=int_count,
         )
     return out

@@ -143,13 +143,14 @@ def reference_per_class_raw(records, n_classes: int) -> dict[int, RawClassStats]
         v = math.fsum(r.completion_time - r.arrival_time for r in jobs) / n
         delays = [r.first_start_time - r.arrival_time for r in jobs if r.first_start_time > r.arrival_time]
         int_count = sum(r.preemption_count for r in jobs)
+        int_sum = math.fsum(r.total_interruption_time for r in jobs)
         out[cls] = RawClassStats(
             count=n,
             p=len(delays) / n,
             u=math.fsum(delays) / len(delays) if delays else None,
             h=int_count / n,
-            g=math.fsum(r.total_interruption_time for r in jobs) / int_count if int_count else None,
-            w=v - math.fsum(r.service_requirement for r in jobs) / n,
+            g=int_sum / int_count if int_count else None,
+            w=(math.fsum(delays) + int_sum) / n,
             v=v,
             interruption_count=int_count,
         )

@@ -4,6 +4,7 @@ import ast
 import contextlib
 import io
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -92,6 +93,31 @@ def test_analytic_marks_unstable_classes(capsys, tmp_path):
     rows = [line.split(",") for line in out.splitlines()[1:]]
     assert all(row[3] == "false" and row[2] == "" for row in rows if row[0] == "2")
     assert all(row[3] == "true" and row[2] != "" for row in rows if row[0] == "1")
+
+
+PAPER_S4_TABLE = """\
+class  p           u          h           g          w            v
+1      0           0          0.00116959  0.0714286  8.35422e-05  0.200084
+2      0.00116959  0.0892857  0.0469759   0.125      0.00597641   0.405976
+3      0.0246575   0.231481   0.349557    0.222222   0.0833871    0.683387
+4      0.141176    0.777778   1.21307     0.5        0.71634      1.51634
+"""
+
+UNSTABLE_TABLE = """\
+class  p         u        h         g         w          v
+1      0         0        0.1       0.666667  0.0666667  1.06667
+2      0.1       2.66667  0.814286  2         1.89524    2.89524
+3      UNSTABLE
+"""
+
+
+def test_analytic_table_layout_is_pinned(capsys, tmp_path):
+    assert run_cli(capsys, "analytic", "--config", PAPER_S4_CFG) == (0, PAPER_S4_TABLE, "")
+    # the UNSTABLE word widens the p column of every row
+    cfg = tmp_path / "overload.cfg"
+    cfg.write_text("servers 2\nclass lambda=0.5 service=exp(1)\nclass lambda=1 service=det(1)\n"
+                   "class lambda=2 service=exp(1)\n")
+    assert run_cli(capsys, "analytic", "--config", str(cfg)) == (0, UNSTABLE_TABLE, "")
 
 
 # ---------------------------------------------------------------- errors
@@ -384,6 +410,30 @@ def test_compare_default_mode_is_approx(capsys):
     expected = approx_metrics(parse_scenario(Path(MD1_CFG).read_text()).model)
     w_row = next(line for line in out.splitlines()[1:] if line.startswith("1,w,"))
     assert float(w_row.split(",")[2]) == expected[0].w
+
+
+def assert_table_aligned(lines):
+    """Every line is right-stripped, and each cell starts at its header's offset, two spaces clear of the next."""
+    starts = [m.start() for m in re.finditer(r"\S+", lines[0])]
+    for line in lines:
+        assert line == line.rstrip()
+        for cell in re.finditer(r"\S+", line):
+            assert cell.start() in starts, line
+            k = starts.index(cell.start())
+            assert k + 1 == len(starts) or cell.end() <= starts[k + 1] - 2, line
+
+
+def test_simulate_and_compare_tables_are_aligned(capsys):
+    for cfg in (PAPER_S4_CFG, MD1_CFG):
+        code, out, _ = run_cli(capsys, "simulate", "--config", cfg, *FAST_SIM)
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0].split() == ["class", "metric", "estimate", "ci95", "reps"]
+        assert lines[-1].startswith("# reps=")
+        assert_table_aligned(lines[:-1])
+        code, out, _ = run_cli(capsys, "compare", "--config", cfg, *FAST_SIM)
+        assert code == 0
+        assert_table_aligned(out.splitlines())
 
 
 # ---------------------------------------------------------------- packaging
