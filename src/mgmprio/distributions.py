@@ -12,7 +12,8 @@ is a block of one, and a block of ``n`` consumes the stream exactly as
 ``n`` single draws would and gives the same bits, so seeded runs reproduce
 bit-identical variate sequences however the draws are split into blocks.
 Each law checks when built that its parameters and moments pass
-:func:`require_finite`, the validity rule shared by all model and run inputs.
+:func:`require_finite`, the validity rule shared by all model and run inputs
+(:func:`require_count` is its rule for counts).
 numpy is imported inside the sampling functions only, so building laws and
 reading their moments, all the closed-form side does, never loads it.  The
 laws, like the other value types of the closed-form side, are immutable
@@ -52,6 +53,15 @@ def require_finite(what: str, value, *, zero_ok: bool = False) -> None:
     if not ((value >= 0 if zero_ok else value > 0) and value < math.inf):
         sign = "nonnegative" if zero_ok else "positive"
         raise ValueError(f"{what} must be {sign} and finite, got {value!r}")
+
+
+def require_count(what: str, value, low: int, high: int | None = None) -> None:
+    """Raise ValueError unless ``value`` is an int, not a bool, from ``low`` to ``high`` (no cap if None)."""
+    # bool is an int, but True would render as a count no parser reads back
+    if not (isinstance(value, int) and not isinstance(value, bool)
+            and low <= value and (high is None or value <= high)):
+        bounds = f"at least {low}" if high is None else f"from {low} to {high}"
+        raise ValueError(f"{what} must be an integer {bounds}, got {value!r}")
 
 
 # writes a field past _Frozen's refusing __setattr__; a global is cheaper
@@ -207,9 +217,7 @@ class Erlang(_Frozen, ServiceDistribution):
     def __init__(self, shape: int, rate: float):
         _setattr(self, "shape", shape)
         _setattr(self, "rate", rate)
-        # bool is an int, but True would render as a shape no parser reads back
-        if not (isinstance(shape, int) and not isinstance(shape, bool) and 1 <= shape <= _MAX_ERLANG_SHAPE):
-            raise ValueError(f"erlang shape must be an integer from 1 to {_MAX_ERLANG_SHAPE}, got {shape!r}")
+        require_count("erlang shape", shape, 1, _MAX_ERLANG_SHAPE)
         require_finite("erlang rate", rate)
         self.check_moments()
 

@@ -1,6 +1,6 @@
 """System description shared by the formula and simulation sides."""
 
-from .distributions import ServiceDistribution, _Frozen, _setattr, require_finite
+from .distributions import ServiceDistribution, _Frozen, _setattr, require_count, require_finite
 
 __all__ = ["ClassSpec", "DomainError", "SystemModel"]
 
@@ -37,9 +37,7 @@ class SystemModel(_Frozen):
     def __init__(self, servers: int, classes: tuple[ClassSpec, ...]):
         _setattr(self, "servers", servers)
         _setattr(self, "classes", tuple(classes))
-        # bool is an int, but True would render as a count no parser reads back
-        if not (isinstance(servers, int) and not isinstance(servers, bool) and 1 <= servers <= _MAX_SERVERS):
-            raise ValueError(f"server count must be an integer from 1 to {_MAX_SERVERS}, got {servers!r}")
+        require_count("server count", servers, 1, _MAX_SERVERS)
         if not self.classes:
             raise ValueError("a model needs at least one class")
         for k, spec in enumerate(self.classes, start=1):

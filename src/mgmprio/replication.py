@@ -29,11 +29,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .analytic import METRIC_NAMES, ClassMetrics
+from .distributions import require_count
 from .model import SystemModel
 from .simulation import PolicyConfig, RunConfig, per_class_raw, run
 
 __all__ = [
-    "METRIC_NAMES",
     "ClassEstimate",
     "ReplicationMetadata",
     "SimulationReport",
@@ -48,8 +48,9 @@ class ClassEstimate:
     """Point estimate and 95 percent half-width of one class's metric.
 
     ``replications`` counts the replications in which the metric was
-    observable; the half-width is zero when only one contributed and None
-    when, like the estimate, no replication observed the metric at all.
+    observable.  The half-width is None exactly when the estimate is None,
+    which is when no replication observed the metric, and 0.0 when only one
+    did.
     """
 
     estimate: float | None
@@ -104,13 +105,13 @@ def _t975(df: int) -> float:
         t += step
 
 
-def _t_half_width(values: list[float]) -> float:
-    """95 percent half-width of the mean of ``values``; 0.0 for fewer than two."""
+def _estimate(values: list[float]) -> ClassEstimate:
+    """The :class:`ClassEstimate` of the values that the replications observed."""
     n = len(values)
-    if n < 2:
-        return 0.0
-    sd = float(np.std(values, ddof=1))
-    return _t975(n - 1) * sd / math.sqrt(n)
+    if not n:
+        return ClassEstimate(None, None, 0)
+    half_width = _t975(n - 1) * float(np.std(values, ddof=1)) / math.sqrt(n) if n > 1 else 0.0
+    return ClassEstimate(math.fsum(values) / n, half_width, n)
 
 
 def rep_seeds(base_seed: int, n_reps: int) -> tuple[int, ...]:
@@ -210,36 +211,20 @@ def replicate(model: SystemModel, policy: PolicyConfig, base_cfg, n_reps: int) -
     """
     if not isinstance(base_cfg, RunConfig):
         raise TypeError(f"base_cfg must be a RunConfig, got {type(base_cfg).__name__}")
-    if n_reps < 1:
-        raise ValueError("n_reps must be at least 1")
+    require_count("n_reps", n_reps, 1)
     started = time.perf_counter()
-    reps = _run_lanes(model, policy, base_cfg, rep_seeds(base_cfg.seed, n_reps))
-    samples: dict[int, dict[str, list[float]]] = {}
-    for _, _, raw in reps:
-        for cls, stats_ in raw.items():
-            per_metric = samples.setdefault(cls, {name: [] for name in METRIC_NAMES})
-            for name in METRIC_NAMES:
-                value = getattr(stats_, name)
-                if value is not None:
-                    per_metric[name].append(value)
-
-    classes: dict[int, dict[str, ClassEstimate]] = {}
-    for cls in sorted(samples):
-        row = {}
-        for name in METRIC_NAMES:
-            values = samples[cls][name]
-            row[name] = ClassEstimate(
-                estimate=math.fsum(values) / len(values) if values else None,
-                ci_half_width=_t_half_width(values) if values else None,
-                replications=len(values),
-            )
-        classes[cls] = row
-
+    truncated, completions, raws = zip(*_run_lanes(model, policy, base_cfg, rep_seeds(base_cfg.seed, n_reps)))
+    # per_class_raw gives every class of the model an entry in every rep
+    classes = {
+        cls: {name: _estimate([v for raw in raws if (v := getattr(raw[cls], name)) is not None])
+              for name in METRIC_NAMES}
+        for cls in raws[0]
+    }
     metadata = ReplicationMetadata(
         base_seed=base_cfg.seed,
-        completions_per_rep=tuple(completions for _, completions, _ in reps),
+        completions_per_rep=completions,
         wall_clock_seconds=time.perf_counter() - started,
-        truncated=any(truncated for truncated, _, _ in reps),
+        truncated=any(truncated),
     )
     return SimulationReport(classes=classes, metadata=metadata)
 
@@ -248,10 +233,12 @@ def replicate(model: SystemModel, policy: PolicyConfig, base_cfg, n_reps: int) -
 class ComparisonRow:
     """One class-and-metric line of the formula-vs-simulation table.
 
-    ``covered`` says whether the analytic value lies inside the simulated
-    95 percent interval; it is None when either side is unavailable, and
-    when fewer than two replications observed the metric, since then no
-    interval exists (``sim_ci_half_width`` is then 0.0).
+    ``sim_mean`` and ``sim_ci_half_width`` are the report's
+    :class:`ClassEstimate`, so the half-width is None exactly when the mean
+    is.  ``covered`` says whether the analytic value lies inside the
+    simulated 95 percent interval; it is None when either side is
+    unavailable, and when fewer than two replications observed the metric,
+    since then no interval exists (``sim_ci_half_width`` is then 0.0).
     ``rel_error`` is None when the analytic value is zero (or missing).
     """
 
@@ -268,31 +255,18 @@ class ComparisonRow:
 def compare(report: SimulationReport, analytic: list[ClassMetrics]) -> list[ComparisonRow]:
     """Join a simulation report against analytic metrics, class by class."""
     rows = []
+    absent = _estimate([])
     for cls, metrics in enumerate(analytic, start=1):
         estimates = report.classes.get(cls, {})
         for name in METRIC_NAMES:
             a = getattr(metrics, name) if metrics.stable else None
-            est = estimates.get(name)
-            sim_mean = est.estimate if est is not None else None
-            hw = est.ci_half_width if est is not None and est.estimate is not None else None
-            if a is None or sim_mean is None:
-                abs_err = rel_err = None
-                covered = None
+            est = estimates.get(name, absent)
+            if a is None or est.estimate is None:
+                abs_err = rel_err = covered = None
             else:
-                abs_err = abs(a - sim_mean)
+                abs_err = abs(a - est.estimate)
                 rel_err = abs_err / abs(a) if a != 0 else None
                 # one replication gives no interval, only a zero half-width
-                covered = abs_err <= hw if est.replications >= 2 else None
-            rows.append(
-                ComparisonRow(
-                    class_index=cls,
-                    metric=name,
-                    analytic=a,
-                    sim_mean=sim_mean,
-                    sim_ci_half_width=hw,
-                    abs_error=abs_err,
-                    rel_error=rel_err,
-                    covered=covered,
-                )
-            )
+                covered = abs_err <= est.ci_half_width if est.replications >= 2 else None
+            rows.append(ComparisonRow(cls, name, a, est.estimate, est.ci_half_width, abs_err, rel_err, covered))
     return rows

@@ -50,7 +50,7 @@ from itertools import chain
 
 import numpy as np
 
-from .distributions import _exponentials, require_finite
+from .distributions import _exponentials, require_count, require_finite
 from .model import SystemModel
 from .streams import substreams
 
@@ -105,7 +105,8 @@ class RunConfig:
     max_simulated_time: float = math.inf
 
     def __post_init__(self):
-        require_finite("target_completions", self.target_completions)
+        require_count("seed", self.seed, 0)
+        require_count("target_completions", self.target_completions, 1)
         require_finite("warmup_time", self.warmup_time, zero_ok=True)
         if self.max_simulated_time != math.inf:
             require_finite("max_simulated_time", self.max_simulated_time)
@@ -125,8 +126,7 @@ class TraceInput:
             if t < last:
                 raise ValueError(f"trace times must be nondecreasing, entry {k} at {t!r} after {last!r}")
             require_finite(f"trace entry {k} service", service)
-            if not (isinstance(cls, int) and not isinstance(cls, bool) and cls >= 1):
-                raise ValueError(f"trace entry {k} has invalid class {cls!r}")
+            require_count(f"trace entry {k} class", cls, 1)
             last = t
 
 
@@ -281,6 +281,13 @@ def run(model: SystemModel, policy: PolicyConfig, cfg) -> RunResult:
     now = 0.0
 
     if isinstance(cfg, RunConfig):
+        # from 2**53 mean gaps on, a double cannot place arrivals one mean gap
+        # apart, so the clock would never get past the warm-up or the cap
+        span = min(cfg.warmup_time, cfg.max_simulated_time)
+        for k, spec in enumerate(model.classes, start=1):
+            if spec.arrival_rate * span >= 2**53:
+                raise ValueError(f"class {k} arrival rate {spec.arrival_rate!r} times {span!r}, the lesser of "
+                                 f"warm-up and time cap, reaches 2**53: the clock cannot resolve its arrival gaps")
         arrivals = chain.from_iterable(_arrival_windows(model, cfg.seed))
         warmup = cfg.warmup_time
         target = cfg.target_completions

@@ -363,6 +363,23 @@ def test_simulate_exits_three_through_child_lanes(capsys, tmp_path, monkeypatch)
     assert_no_arrival_run_truncates(capsys, tmp_path, "3")
 
 
+def test_simulate_refuses_arrivals_the_clock_cannot_resolve(tmp_path):
+    # 1e150 arrivals per unit time put 2**53 mean gaps far inside the warm-up,
+    # where a double cannot advance the clock by one gap; without --warmup 0
+    # the run would never get past it
+    cfg = tmp_path / "huge_rate.cfg"
+    cfg.write_text("servers 1\nclass lambda=1e150 service=det(1e-151)\n")
+    package_root = Path(mgmprio.__file__).resolve().parent.parent
+    argv = [sys.executable, "-m", "mgmprio", "simulate", "--config", str(cfg), "--jobs", "100", "--reps", "1",
+            "--max-time", "10"]
+    env = {**os.environ, "PYTHONPATH": str(package_root)}
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 1
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: class 1 arrival rate")
+    proc = subprocess.run([*argv, "--warmup", "0"], capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_simulate_accepts_policy_flags(capsys):
     code, out, _ = run_cli(
         capsys, "simulate", "--config", PAPER_S4_CFG, "--within-class", "fifo",
@@ -468,6 +485,28 @@ def test_package_names_resolve_lazily_to_their_definitions():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
                           env={**os.environ, "PYTHONPATH": str(package_root)})
     assert proc.returncode == 0, proc.stderr
+
+
+def test_public_names_are_defined_where_they_are_listed():
+    # each name in a module's __all__ is bound there by a def, a class or an
+    # assignment, so the package re-exports it from exactly one home
+    package_dir = Path(mgmprio.__file__).resolve().parent
+    for path in sorted(package_dir.glob("*.py")):
+        if path.name.startswith("__"):
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bound, listed = set(), []
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                bound.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                    if isinstance(target, ast.Name):
+                        bound.add(target.id)
+                        if target.id == "__all__":
+                            listed = ast.literal_eval(node.value)
+        assert listed, path.name
+        assert set(listed) <= bound, (path.name, set(listed) - bound)
 
 
 def test_patched_replication_run_intercepts_replicate(monkeypatch):

@@ -52,7 +52,14 @@ def test_rep_seeds_are_prefix_stable_and_distinct():
 def test_equal_values_give_zero_half_width():
     for value in (2.5, 0.5, 0.0):
         for n in (1, 2, 3):
-            assert replication._t_half_width([value] * n) == 0.0
+            assert replication._estimate([value] * n).ci_half_width == 0.0
+
+
+def test_estimate_of_none_or_one_value():
+    # compare relies on this: the half-width is None exactly when the estimate is
+    assert replication._estimate([]) == ClassEstimate(None, None, 0)
+    for x in (2.5, 0.0):
+        assert replication._estimate([x]) == ClassEstimate(x, 0.0, 1)
 
 
 def test_raw_stats_carry_every_metric_name():
@@ -61,8 +68,9 @@ def test_raw_stats_carry_every_metric_name():
 
 
 def test_replicate_validates_inputs():
-    with pytest.raises(ValueError):
-        replicate(MM3, LIFO, RunConfig(seed=1, target_completions=10), 0)
+    for n_reps in (0, 2.5, True):
+        with pytest.raises(ValueError):
+            replicate(MM3, LIFO, RunConfig(seed=1, target_completions=10), n_reps)
     for cfg in (object(), TraceInput([(0.0, 1, 1.0)])):
         with pytest.raises(TypeError):
             replicate(MM3, LIFO, cfg, 2)

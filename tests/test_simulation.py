@@ -303,6 +303,11 @@ def test_trace_validation():
         {"warmup_time": math.inf},
         {"max_simulated_time": 0.0},
         {"max_simulated_time": math.nan},
+        {"target_completions": 2.5},
+        {"target_completions": True},
+        {"seed": 1.5},
+        {"seed": -1},
+        {"seed": True},
     ],
     ids=repr,
 )
