@@ -71,11 +71,13 @@ def erlang_c(servers: int, load: float) -> float:
     C = B(servers) / (1 - load * (1 - B(servers))); the recurrence avoids
     the overflow-prone factorial sum.
 
-    Raises DomainError unless ``servers >= 1`` and ``0 <= load < 1``.
+    Raises DomainError unless ``servers`` is an integer (not a bool) at
+    least 1 and ``0 <= load < 1``.
     """
     # numpy integers register as Integral; int comes first because the ABC
-    # check costs about 0.7 us, on a path that runs once per class
-    if not (isinstance(servers, (int, numbers.Integral)) and servers >= 1):
+    # check costs about 0.7 us, on a path that runs once per class; a bool
+    # is an int but no server count
+    if isinstance(servers, bool) or not (isinstance(servers, (int, numbers.Integral)) and servers >= 1):
         raise DomainError(f"server count must be a positive integer, got {servers!r}")
     if not 0.0 <= load < 1.0:
         raise DomainError(f"per-server load must lie in [0, 1), got {load!r}")

@@ -39,14 +39,21 @@ class arrives any more (every next arrival lies at t = inf, as a subnormal
 arrival rate gives), the run stops early and the result is flagged
 truncated.  With a
 :class:`TraceInput`, the scripted arrivals are run to completion and every
-job is counted.
+job is counted; its times and services are taken as doubles.
+
+Each counted job is logged on completion as one 40-byte packed row of the
+run's :class:`JobLog` (class index, arrival, service, first start and
+completion) plus its interruption intervals, kept only for a job that was
+preempted.  :func:`per_class_raw` reduces the rows through a zero-copy
+numpy view; :class:`JobRecord` objects are built only when the log is read.
 """
 
 import math
+import struct
 from collections.abc import Sequence
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from itertools import chain
+from itertools import chain, compress
 
 import numpy as np
 
@@ -70,6 +77,11 @@ __all__ = [
 
 # jobs per class whose arrival times and service requirements are drawn at once
 _BLOCK = 1024
+
+# one counted job in a JobLog: class index, arrival, service, first start, completion
+_ROW = struct.Struct("<qdddd")
+_ROW_DTYPE = np.dtype([("cls", "<i8"), ("arrival", "<f8"), ("service", "<f8"),
+                       ("first_start", "<f8"), ("completion", "<f8")])
 
 
 @dataclass(frozen=True)
@@ -145,43 +157,48 @@ class JobRecord:
 
 
 class JobLog(Sequence):
-    """The counted completed jobs of one run, in completion order, stored by column.
+    """The counted completed jobs of one run, in completion order, packed in rows.
 
-    A read-only sequence: indexing and iteration build each job's
-    :class:`JobRecord` on demand, and a slice gives a tuple of them.  Two
-    logs are equal when every column is.
+    Each job is one 40-byte row of a single ``bytearray`` (class index,
+    arrival, service, first start and completion, as ``_ROW``), beside a
+    list of each job's interruption intervals (None for a job never
+    preempted).  A read-only sequence: indexing and iteration build each
+    job's :class:`JobRecord` on demand, and a slice gives a tuple of them.
+    Two logs are equal when every job's fields are.
     """
 
-    __slots__ = ("_columns",)
+    __slots__ = ("_rows", "_intervals")
 
     def __init__(self):
-        # one list per field: class index, arrival, service, first start,
-        # completion, and the job's list of interruption intervals (None
-        # when it was never preempted)
-        self._columns = ([], [], [], [], [], [])
+        self._rows = bytearray()
+        self._intervals = []
 
     def __len__(self):
-        return len(self._columns[0])
+        return len(self._intervals)
 
     def __getitem__(self, key):
-        fields = (column[key] for column in self._columns)
         if isinstance(key, slice):
-            return tuple(map(_record, *fields))
-        return _record(*fields)
+            return tuple(map(self.__getitem__, range(*key.indices(len(self)))))
+        # the list raises IndexError and takes negative indices
+        intervals = self._intervals[key]
+        return _record(_ROW.unpack_from(self._rows, _ROW.size * (key % len(self))), intervals)
 
     def __iter__(self):
-        return map(_record, *self._columns)
+        return map(_record, _ROW.iter_unpack(self._rows), self._intervals)
 
     def __eq__(self, other):
         if not isinstance(other, JobLog):
             return NotImplemented
-        return self._columns == other._columns
+        # compared as numbers, not as bytes, so that 0.0 equals -0.0
+        return (self._intervals == other._intervals
+                and list(_ROW.iter_unpack(self._rows)) == list(_ROW.iter_unpack(other._rows)))
 
     def __repr__(self):
         return f"JobLog({len(self)} jobs)"
 
 
-def _record(class_index, arrival, service, first_start, completion, intervals) -> JobRecord:
+def _record(row, intervals) -> JobRecord:
+    class_index, arrival, service, first_start, completion = row
     intervals = tuple(intervals) if intervals else ()
     return JobRecord(
         class_index=class_index,
@@ -273,9 +290,9 @@ def run(model: SystemModel, policy: PolicyConfig, cfg) -> RunResult:
     token = 0
     pool_seq = 0
     log = JobLog()
-    log_class, log_arrival, log_service, log_first_start, log_completion, log_intervals = (
-        column.append for column in log._columns
-    )
+    log_row = log._rows.extend
+    log_intervals = log._intervals.append
+    pack_row = _ROW.pack
     counted_done = 0
     truncated = False
     now = 0.0
@@ -296,8 +313,9 @@ def run(model: SystemModel, policy: PolicyConfig, cfg) -> RunResult:
         for seq, (t, cls, service) in enumerate(cfg.arrivals):
             if cls > n_classes:
                 raise ValueError(f"trace entry {seq} names class {cls}, model has {n_classes}")
-        # an arrival at inf marks the end of the trace
-        arrivals = chain(cfg.arrivals, [(math.inf, 0, 0.0)])
+        # the clock runs on doubles, as the log stores them; an arrival at inf marks the end of the trace
+        arrivals = chain([(float(t), cls, float(service)) for t, cls, service in cfg.arrivals],
+                         [(math.inf, 0, 0.0)])
         warmup = -math.inf
         target = math.inf
         horizon = math.inf
@@ -313,11 +331,7 @@ def run(model: SystemModel, policy: PolicyConfig, cfg) -> RunResult:
                 continue  # stale: that job was displaced
             job = server_job[sidx]
             if job[_ARRIVAL] > warmup:
-                log_class(job[_CLS])
-                log_arrival(job[_ARRIVAL])
-                log_service(job[_SERVICE])
-                log_first_start(job[_FIRST_START])
-                log_completion(now)
+                log_row(pack_row(job[_CLS], job[_ARRIVAL], job[_SERVICE], job[_FIRST_START], now))
                 log_intervals(job[_INTERVALS])
                 counted_done += 1
                 if counted_done >= target:
@@ -414,34 +428,41 @@ class RawClassStats:
 def per_class_raw(log: JobLog, model: SystemModel) -> dict[int, RawClassStats]:
     """Reduce a run's job log into the raw estimators, keyed by class index.
 
-    One pass over the log's columns gathers each class's terms, each class's
-    sums then go through ``math.fsum``.  Every class of the model gets an
-    entry; one with no counted jobs is ``RawClassStats(count=0)``.
+    The log's rows are read through a zero-copy numpy view and sorted by
+    class; each class's sojourns, delays and per-job interruption totals
+    (each job's intervals summed with ``math.fsum``) are then summed with
+    ``math.fsum``, which is correctly rounded in any order, so the
+    estimates are those of a pass in log order.  Every class of the model
+    gets an entry; one with no counted jobs is ``RawClassStats(count=0)``.
     """
     n_classes = len(model.classes)
-    sojourns = [[] for _ in range(n_classes + 1)]
-    delays = [[] for _ in range(n_classes + 1)]
-    int_totals = [[] for _ in range(n_classes + 1)]
-    int_counts = [0] * (n_classes + 1)
-    for cls, arrival, _, first_start, completion, intervals in zip(*log._columns):
-        sojourns[cls].append(completion - arrival)
-        if first_start > arrival:
-            delays[cls].append(first_start - arrival)
-        if intervals:
-            int_counts[cls] += len(intervals)
-            # a job never preempted adds an exact zero, so leaving it out keeps the sum
-            int_totals[cls].append(math.fsum(intervals))
+    rows = np.frombuffer(log._rows, _ROW_DTYPE)
+    cls = rows["cls"]
+    sojourns = rows["completion"] - rows["arrival"]
+    delays = rows["first_start"] - rows["arrival"]
+    # only preempted jobs carry intervals: a job never preempted adds an
+    # exact zero, so leaving it out keeps the sums
+    held = list(filter(None, log._intervals))
+    held_cls = cls[np.fromiter(compress(range(len(cls)), log._intervals), np.intp, len(held))]
+    int_counts = np.fromiter(map(len, held), np.int64, len(held))
+    int_totals = np.fromiter(map(math.fsum, held), np.float64, len(held))
+    edges, (sojourns, delays) = _by_class(cls, n_classes, sojourns, delays)
+    held_edges, (int_counts, int_totals) = _by_class(held_cls, n_classes, int_counts, int_totals)
     out: dict[int, RawClassStats] = {}
-    for cls in range(1, n_classes + 1):
-        n = len(sojourns[cls])
+    for k in range(n_classes):
+        lo, hi = edges[k], edges[k + 1]
+        n = hi - lo
         if not n:
-            out[cls] = RawClassStats(count=0)
+            out[k + 1] = RawClassStats(count=0)
             continue
-        n_delayed = len(delays[cls])
-        int_count = int_counts[cls]
-        delay_sum = math.fsum(delays[cls])
-        int_sum = math.fsum(int_totals[cls])
-        out[cls] = RawClassStats(
+        # first start > arrival exactly when their difference is > 0
+        delayed = delays[lo:hi]
+        delayed = delayed[delayed > 0.0]
+        n_delayed = len(delayed)
+        delay_sum = math.fsum(delayed.tolist())
+        int_count = int(int_counts[held_edges[k]:held_edges[k + 1]].sum())
+        int_sum = math.fsum(int_totals[held_edges[k]:held_edges[k + 1]].tolist())
+        out[k + 1] = RawClassStats(
             count=n,
             p=n_delayed / n,
             u=delay_sum / n_delayed if n_delayed else None,
@@ -449,10 +470,17 @@ def per_class_raw(log: JobLog, model: SystemModel) -> dict[int, RawClassStats]:
             g=int_sum / int_count if int_count else None,
             # a job waits while delayed or interrupted, so one never held up adds an exact 0
             w=(delay_sum + int_sum) / n,
-            v=math.fsum(sojourns[cls]) / n,
+            v=math.fsum(sojourns[lo:hi].tolist()) / n,
             interruption_count=int_count,
         )
     return out
+
+
+def _by_class(cls, n_classes: int, *columns):
+    """Sort ``columns`` by the class indices ``cls``; class k's values lie in ``edges[k-1]:edges[k]``."""
+    order = np.argsort(cls, kind="stable")
+    edges = np.searchsorted(cls[order], np.arange(1, n_classes + 2)).tolist()
+    return edges, [column[order] for column in columns]
 
 
 JOB_RECORD_CSV_HEADER = "class,arrival,service,first_start,completion,preemptions,interruption_total"

@@ -114,7 +114,7 @@ def test_erlang_c_strictly_increasing_in_load():
 
 
 def test_erlang_c_rejects_out_of_domain():
-    for servers, load in [(1, 1.0), (3, 1.5), (2, -0.1), (0, 0.5), (-3, 0.5)]:
+    for servers, load in [(1, 1.0), (3, 1.5), (2, -0.1), (0, 0.5), (-3, 0.5), (True, 0.5), (False, 0.5)]:
         with pytest.raises(DomainError):
             erlang_c(servers, load)
     for servers in (2.5, 3.0):

@@ -2,6 +2,7 @@
 
 import io
 import math
+import tracemalloc
 import warnings
 
 import pytest
@@ -459,3 +460,34 @@ def test_job_record_csv_dump():
     assert [r.completion_time for r in result.records] == [2.0, 4.0]
     # a trace ends at its last completion
     assert result.end_time == 4.0
+
+
+def test_integer_trace_gives_float_records():
+    result = run(M1, LIFO, TraceInput([(0, 1, 3), (1, 1, 1)]))
+    for r in result.records:
+        times = (r.arrival_time, r.service_requirement, r.first_start_time, r.completion_time,
+                 r.total_interruption_time, *r.interruption_intervals)
+        assert all(type(x) is float for x in times)
+        assert type(r.class_index) is int and type(r.preemption_count) is int
+    buf = io.StringIO()
+    write_job_records(result.records, buf)
+    assert buf.getvalue() == (
+        "class,arrival,service,first_start,completion,preemptions,interruption_total\n"
+        "1,1.0,1.0,1.0,2.0,0,0.0\n"
+        "1,0.0,3.0,0.0,4.0,1,1.0\n"
+    )
+
+
+def test_run_result_holds_at_most_100_bytes_per_counted_job():
+    # a first run imports numpy.random, which would count as held
+    run(PAPER_S4, LIFO, RunConfig(seed=2, target_completions=100, warmup_time=20.0))
+    cfg = RunConfig(seed=1, target_completions=10_000, warmup_time=20.0)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = run(PAPER_S4, LIFO, cfg)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert result.counted_completions == 10_000
+    assert held / result.counted_completions <= 100
