@@ -27,10 +27,9 @@ _LAZY = {
     ),
     **dict.fromkeys(
         ("JOB_RECORD_CSV_HEADER", "JobLog", "JobRecord", "PolicyConfig", "RawClassStats", "RunConfig",
-         "RunResult", "TraceInput", "per_class_raw", "run", "write_job_records"),
+         "RunResult", "TraceInput", "per_class_raw", "run", "substreams", "write_job_records"),
         "simulation",
     ),
-    **dict.fromkeys(("RandomStream", "substreams"), "streams"),
 }
 
 

@@ -134,7 +134,7 @@ def main(argv=None) -> int:
     try:
         with open(args.config, encoding="utf-8") as fh:
             scenario = parse_scenario(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {args.config}: {exc}", file=sys.stderr)
         return 1
     except ScenarioError as exc:

@@ -6,11 +6,12 @@ the same law.  Both live here so they cannot drift apart.  The variant set
 covers squared coefficients of variation below one (Deterministic, Erlang,
 Uniform), equal to one (Exponential) and above one (HyperExponential).
 
-Sampling is inverse-transform on uniforms read from a RandomStream in
-numpy blocks.  Each law has one sampling path, ``sample_block``; ``sample``
-is a block of one, and a block of ``n`` consumes the stream exactly as
-``n`` single draws would and gives the same bits, so seeded runs reproduce
-bit-identical variate sequences however the draws are split into blocks.
+Sampling is inverse-transform on uniforms read in blocks from a stream, a
+numpy ``Generator``, with ``stream.random(n)``.  Each law has one sampling
+path, ``sample_block``; ``sample`` is a block of one, and a block of ``n``
+consumes the stream exactly as ``n`` single draws would and gives the same
+bits, so seeded runs reproduce bit-identical variate sequences however the
+draws are split into blocks.
 Each law checks when built that its parameters and moments pass
 :func:`require_finite`, the validity rule shared by all model and run inputs
 (:func:`require_count` is its rule for counts).
@@ -179,7 +180,7 @@ class Exponential(_Frozen, ServiceDistribution):
         return _quotient(2.0, self.rate * self.rate)
 
     def sample_block(self, stream, n: int) -> np.ndarray:
-        return _exponentials(stream.uniforms(n), self.rate)
+        return _exponentials(stream.random(n), self.rate)
 
     def spec(self) -> str:
         return f"exp({self.rate!r})"
@@ -232,7 +233,7 @@ class Erlang(_Frozen, ServiceDistribution):
 
         # row j holds variate j's stages; summing column by column from zero
         # adds each variate's stages in draw order
-        stages = _exponentials(stream.uniforms(n * self.shape).reshape(n, self.shape), self.rate)
+        stages = _exponentials(stream.random(n * self.shape).reshape(n, self.shape), self.rate)
         total = np.zeros(n)
         for column in stages.T:
             total += column
@@ -270,7 +271,7 @@ class HyperExponential(_Frozen, ServiceDistribution):
         import numpy as np
 
         # each variate takes a branch uniform, then its exponential's uniform
-        u = stream.uniforms(2 * n).reshape(n, 2)
+        u = stream.random(2 * n).reshape(n, 2)
         bounds = list(accumulate(p for p, _ in self.branches))
         # the first branch whose running probability exceeds u; the last
         # one when rounding leaves the total below u
@@ -302,7 +303,7 @@ class Uniform(_Frozen, ServiceDistribution):
         return (self.lo * self.lo + self.lo * self.hi + self.hi * self.hi) / 3.0
 
     def sample_block(self, stream, n: int) -> np.ndarray:
-        return self.lo + (self.hi - self.lo) * stream.uniforms(n)
+        return self.lo + (self.hi - self.lo) * stream.random(n)
 
     def spec(self) -> str:
         return f"uniform({self.lo!r},{self.hi!r})"

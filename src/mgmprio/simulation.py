@@ -4,14 +4,18 @@ Scheduling semantics, in full:
 
 * Arrivals per class form independent Poisson streams.  Each class draws
   its inter-arrival gaps and its service requirements from two sub-streams
-  of its own, so the sampled workload depends only on the seed and never on
-  the queueing policy (common random numbers across policy comparisons).
+  of its own, numpy Generators from :func:`substreams`, so the sampled
+  workload depends only on the seed and never on the queueing policy
+  (common random numbers across policy comparisons).
   Both are drawn ahead in blocks of ``_BLOCK`` jobs; since every stream
   feeds one class and one purpose in order, the block size is not
   observable.  All classes' drawn arrivals are merged into one stream in
   time order, so the event heap holds only completions: the run loops over
   the arrivals and, before each, drains the completions due by its time.
-  Each job's state is a plain list record.
+  Each job's state is a plain list record.  Each busy server holds one
+  key, ``(-class, arrival, server, job)``, and each completion event
+  carries the key it was scheduled under; the event is stale, its job
+  displaced, once the server holds another key object.
 * An arrival first takes an idle server (the lowest-indexed one when
   several are idle).  Failing that, if some in-service job has a class
   index >= the arrival's (strictly > when ``equal_class_preemption`` is
@@ -29,6 +33,8 @@ Scheduling semantics, in full:
   resumes with exactly the service time it had left.
 * Simultaneous events are processed completions first, then arrivals:
   a trace's in trace order, a stochastic run's in class order.
+  Simultaneous completions go in the order their jobs last started
+  service.
 * No server idles while the pool is nonempty (checked after every event).
 
 With a :class:`RunConfig`, only jobs arriving strictly after
@@ -59,7 +65,6 @@ import numpy as np
 
 from .distributions import _exponentials, require_count, require_finite
 from .model import SystemModel
-from .streams import substreams
 
 __all__ = [
     "PolicyConfig",
@@ -73,6 +78,7 @@ __all__ = [
     "per_class_raw",
     "JOB_RECORD_CSV_HEADER",
     "write_job_records",
+    "substreams",
 ]
 
 # jobs per class whose arrival times and service requirements are drawn at once
@@ -222,6 +228,16 @@ class RunResult:
     end_time: float
 
 
+def substreams(seed: int, n: int) -> "list[np.random.Generator]":
+    """Derive ``n`` independent numpy Generators from one integer seed.
+
+    Stream k of seed s is PCG64 seeded with child k of
+    ``SeedSequence(s)``, whose children are collision-resistant by
+    construction, so the derivation is stable across runs and platforms.
+    """
+    return [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(n)]
+
+
 # slots of a job record, one list per job: class index, arrival, service
 # requirement, remaining service, first start, when the job was last
 # started, resumed or suspended, and its interruption intervals (None until
@@ -240,22 +256,22 @@ def _arrival_windows(model: SystemModel, seed: int):
     """
     n_classes = len(model.classes)
     streams = substreams(seed, 2 * n_classes)
-    times = [np.empty(0)] * n_classes
+    # times[k][-1] is class k's last drawn time; the initial 0 is where its sum of gaps starts,
+    # not an arrival, so start[k] = 1 skips it
+    times = [np.zeros(1)] * n_classes
     services = [None] * n_classes
-    start = [0] * n_classes
-    last = [0.0] * n_classes
+    start = [1] * n_classes
     while True:
         for k, c in enumerate(model.classes):
             if start[k] == len(times[k]):
                 # a subnormal rate overflows a gap to inf: the class stops arriving
                 with np.errstate(over="ignore"):
-                    gaps = _exponentials(streams[2 * k].uniforms(_BLOCK), c.arrival_rate)
-                gaps[0] += last[k]
+                    gaps = _exponentials(streams[2 * k].random(_BLOCK), c.arrival_rate)
+                gaps[0] += times[k][-1]
                 times[k] = np.cumsum(gaps)
-                last[k] = times[k][-1]
                 services[k] = c.service.sample_block(streams[2 * k + 1], _BLOCK)
                 start[k] = 0
-        end = min(last)
+        end = min(t[-1] for t in times)
         t_parts, c_parts, s_parts = [], [], []
         for k in range(n_classes):
             stop = int(np.searchsorted(times[k], end, side="right"))
@@ -279,14 +295,12 @@ def run(model: SystemModel, policy: PolicyConfig, cfg) -> RunResult:
     # lowest class index an in-service job must have to be displaceable
     min_victim_delta = 0 if policy.equal_class_preemption else 1
 
-    # completions only, as (time, token, server)
+    # completions only, as (time, token, key); the token orders completions at one instant by start
     events: list = []
     pool: list = []
     idle = list(range(m))  # already a heap
-    server_job: list = [None] * m
-    # (-class, arrival, server) of each busy server's job: min() of them is the preferred victim
+    # (-class, arrival, server, job) of each busy server's job: min() of them is the preferred victim
     server_key: list = [None] * m
-    server_token = [0] * m
     token = 0
     pool_seq = 0
     log = JobLog()
@@ -323,13 +337,14 @@ def run(model: SystemModel, policy: PolicyConfig, cfg) -> RunResult:
     for t_next, cls_next, service_next in arrivals:
         # a completion goes before an arrival at the same time
         while events and events[0][0] <= t_next:
-            now, tok, sidx = heappop(events)
+            now, _, key = heappop(events)
             if now > horizon:
                 truncated = True
                 break
-            if server_token[sidx] != tok:
+            sidx = key[2]
+            if server_key[sidx] is not key:
                 continue  # stale: that job was displaced
-            job = server_job[sidx]
+            job = key[3]
             if job[_ARRIVAL] > warmup:
                 log_row(pack_row(job[_CLS], job[_ARRIVAL], job[_SERVICE], job[_FIRST_START], now))
                 log_intervals(job[_INTERVALS])
@@ -345,11 +360,9 @@ def run(model: SystemModel, policy: PolicyConfig, cfg) -> RunResult:
                 else:
                     job[_INTERVALS].append(now - job[_SINCE])
                 job[_SINCE] = now
-                server_job[sidx] = job
-                server_key[sidx] = (-job[_CLS], job[_ARRIVAL], sidx)
+                key = server_key[sidx] = (-job[_CLS], job[_ARRIVAL], sidx, job)
                 token += 1
-                server_token[sidx] = token
-                heappush(events, (now + job[_REMAINING], token, sidx))
+                heappush(events, (now + job[_REMAINING], token, key))
             else:
                 heappush(idle, sidx)
             if pool and idle:
@@ -377,17 +390,15 @@ def run(model: SystemModel, policy: PolicyConfig, cfg) -> RunResult:
                     continue
                 # the victim joins the pool and the arrival takes its server
                 sidx = key[2]
-                victim = server_job[sidx]
+                victim = key[3]
                 victim[_REMAINING] -= now - victim[_SINCE]
                 victim[_SINCE] = now
                 heappush(pool, (victim[_CLS], -victim[_ARRIVAL] if lifo else victim[_ARRIVAL], pool_seq, victim))
                 pool_seq += 1
             # the arrival starts at once
-            server_job[sidx] = job
-            server_key[sidx] = (-cls_next, now, sidx)
+            key = server_key[sidx] = (-cls_next, now, sidx, job)
             token += 1
-            server_token[sidx] = token
-            heappush(events, (now + service_next, token, sidx))
+            heappush(events, (now + service_next, token, key))
             if pool and idle:
                 raise RuntimeError("work conservation violated: idle server with waiting jobs")
             continue
@@ -428,12 +439,12 @@ class RawClassStats:
 def per_class_raw(log: JobLog, model: SystemModel) -> dict[int, RawClassStats]:
     """Reduce a run's job log into the raw estimators, keyed by class index.
 
-    The log's rows are read through a zero-copy numpy view and sorted by
-    class; each class's sojourns, delays and per-job interruption totals
-    (each job's intervals summed with ``math.fsum``) are then summed with
-    ``math.fsum``, which is correctly rounded in any order, so the
-    estimates are those of a pass in log order.  Every class of the model
-    gets an entry; one with no counted jobs is ``RawClassStats(count=0)``.
+    The log's rows are read through a zero-copy numpy view, and each class
+    is picked out by a mask on its class column.  Its sojourns, delays and
+    per-job interruption totals (each job's intervals summed with
+    ``math.fsum``) are then summed with ``math.fsum``, which is correctly
+    rounded.  Every class of the model gets an entry; one with no counted
+    jobs is ``RawClassStats(count=0)``.
     """
     n_classes = len(model.classes)
     rows = np.frombuffer(log._rows, _ROW_DTYPE)
@@ -446,23 +457,22 @@ def per_class_raw(log: JobLog, model: SystemModel) -> dict[int, RawClassStats]:
     held_cls = cls[np.fromiter(compress(range(len(cls)), log._intervals), np.intp, len(held))]
     int_counts = np.fromiter(map(len, held), np.int64, len(held))
     int_totals = np.fromiter(map(math.fsum, held), np.float64, len(held))
-    edges, (sojourns, delays) = _by_class(cls, n_classes, sojourns, delays)
-    held_edges, (int_counts, int_totals) = _by_class(held_cls, n_classes, int_counts, int_totals)
     out: dict[int, RawClassStats] = {}
-    for k in range(n_classes):
-        lo, hi = edges[k], edges[k + 1]
-        n = hi - lo
+    for k in range(1, n_classes + 1):
+        mine = cls == k
+        n = int(np.count_nonzero(mine))
         if not n:
-            out[k + 1] = RawClassStats(count=0)
+            out[k] = RawClassStats(count=0)
             continue
         # first start > arrival exactly when their difference is > 0
-        delayed = delays[lo:hi]
+        delayed = delays[mine]
         delayed = delayed[delayed > 0.0]
         n_delayed = len(delayed)
         delay_sum = math.fsum(delayed.tolist())
-        int_count = int(int_counts[held_edges[k]:held_edges[k + 1]].sum())
-        int_sum = math.fsum(int_totals[held_edges[k]:held_edges[k + 1]].tolist())
-        out[k + 1] = RawClassStats(
+        held_mine = held_cls == k
+        int_count = int(int_counts[held_mine].sum())
+        int_sum = math.fsum(int_totals[held_mine].tolist())
+        out[k] = RawClassStats(
             count=n,
             p=n_delayed / n,
             u=delay_sum / n_delayed if n_delayed else None,
@@ -470,17 +480,10 @@ def per_class_raw(log: JobLog, model: SystemModel) -> dict[int, RawClassStats]:
             g=int_sum / int_count if int_count else None,
             # a job waits while delayed or interrupted, so one never held up adds an exact 0
             w=(delay_sum + int_sum) / n,
-            v=math.fsum(sojourns[lo:hi].tolist()) / n,
+            v=math.fsum(sojourns[mine].tolist()) / n,
             interruption_count=int_count,
         )
     return out
-
-
-def _by_class(cls, n_classes: int, *columns):
-    """Sort ``columns`` by the class indices ``cls``; class k's values lie in ``edges[k-1]:edges[k]``."""
-    order = np.argsort(cls, kind="stable")
-    edges = np.searchsorted(cls[order], np.arange(1, n_classes + 2)).tolist()
-    return edges, [column[order] for column in columns]
 
 
 JOB_RECORD_CSV_HEADER = "class,arrival,service,first_start,completion,preemptions,interruption_total"

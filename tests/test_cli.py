@@ -128,6 +128,14 @@ def test_missing_config_file(capsys):
     assert code == 1 and "cannot read" in err
 
 
+def test_config_file_not_utf8(capsys, tmp_path):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(b"servers 1\nclass lambda=0.5 service=exp(1.0) # caf\xe9\n")
+    code, out, err = run_cli(capsys, "analytic", "--config", str(cfg))
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: cannot read {cfg}: ") and err.count("\n") == 1
+
+
 def test_scenario_parse_error_reports_file_and_line(capsys, tmp_path):
     cfg = tmp_path / "bad.cfg"
     for servers, bad, line in (
@@ -475,7 +483,7 @@ def test_package_names_resolve_lazily_to_their_definitions():
             "exec('from mgmprio import *', namespace)\n"
             "assert set(mgmprio.__all__) <= set(namespace)\n"
             "modules = [importlib.import_module('mgmprio.' + m) for m in\n"
-            "           ('analytic', 'distributions', 'model', 'scenario', 'streams', 'simulation', 'replication')]\n"
+            "           ('analytic', 'distributions', 'model', 'scenario', 'simulation', 'replication')]\n"
             "for name in mgmprio.__all__:\n"
             "    homes = [vars(m)[name] for m in modules if name in vars(m)]\n"
             "    assert homes and all(h is getattr(mgmprio, name) is namespace[name] for h in homes), name\n"

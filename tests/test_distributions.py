@@ -11,7 +11,6 @@ from mgmprio import (
     Erlang,
     Exponential,
     HyperExponential,
-    RandomStream,
     ServiceDistribution,
     SystemModel,
     Uniform,
@@ -123,14 +122,14 @@ def test_substreams_are_mutually_distinct():
 
 def test_stream_follows_documented_derivation():
     # sub-stream k of seed s is PCG64 seeded with child k of SeedSequence(s),
-    # read in one sequence however single and block reads are mixed
+    # read in one sequence however single uniform() and block random(k) reads are mixed
     child = np.random.SeedSequence(42).spawn(3)[1]
     expected = np.random.Generator(np.random.PCG64(child)).random(10_000)
     stream = substreams(42, 3)[1]
     got = [stream.uniform() for _ in range(5000)]
     for k in (1, 0, 7, 1024, 3, 2000):
         got.append(stream.uniform())
-        got.extend(stream.uniforms(k).tolist())
+        got.extend(stream.random(k).tolist())
     got.extend(stream.uniform() for _ in range(10_000 - len(got)))
     assert got == expected.tolist()
 

@@ -103,6 +103,14 @@ def test_trace_victim_tie_goes_to_lower_server_index():
     assert by_arrival(result, 3.0).completion_time == 4.0
 
 
+def test_trace_simultaneous_completions_leave_in_start_order():
+    # classes 1 and 2 both finish at t = 3; class 1 started first, so it
+    # leaves first, and class 3 takes its server from the pool
+    model = SystemModel(2, [ClassSpec(1.0, Exponential(1.0))] * 3)
+    result = run(model, LIFO, TraceInput([(0.0, 1, 3.0), (1.0, 2, 2.0), (2.0, 3, 1.0)]))
+    assert [(r.class_index, r.completion_time) for r in result.records] == [(1, 3.0), (2, 3.0), (3, 4.0)]
+
+
 @pytest.mark.parametrize("policy", [LIFO, STRICT], ids=["equal-class-on", "equal-class-off"])
 def test_trace_lower_priority_waits(policy):
     # class 2 cannot displace a class-1 job under either preemption setting
