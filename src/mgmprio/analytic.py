@@ -153,7 +153,7 @@ def _delay_probabilities(servers: int, load: list[float]) -> list[float | None]:
     return [erlang_c(servers, r) if r < 1.0 else None for r in load]
 
 
-def _assemble(i, p, u, h, g, b_i):
+def _assemble(p, u, h, g, b_i):
     # building w from the identity keeps the residuals at machine zero
     w = p * u + h * g
     return ClassMetrics(p=p, u=u, h=h, g=g, w=w, v=w + b_i, stable=True)
@@ -187,7 +187,7 @@ def approx_metrics(model: SystemModel) -> list[ClassMetrics]:
             u = prefix[i - 1] / (2.0 * m * m * load[i - 1] * (1.0 - load[i - 1]) * (1.0 - load[i]))
         g = load[i] / (cum_rate[i] * (1.0 - load[i]))
         h = cum_rate[i] * (c[i] - c[i - 1]) / lam_i
-        out.append(_assemble(i, p, u, h, g, b1[i - 1]))
+        out.append(_assemble(p, u, h, g, b1[i - 1]))
     return out
 
 
@@ -216,7 +216,7 @@ def exact_single_channel(model: SystemModel) -> list[ClassMetrics]:
             u = prefix[i - 1] / (2.0 * load[i - 1] * (1.0 - load[i - 1]) * (1.0 - load[i]))
         g = load[i] / (cum_rate[i] * (1.0 - load[i]))
         h = cum_rate[i] * b1[i - 1]
-        out.append(_assemble(i, p, u, h, g, b1[i - 1]))
+        out.append(_assemble(p, u, h, g, b1[i - 1]))
     return out
 
 
@@ -249,7 +249,7 @@ def exact_mmm_identical(model: SystemModel) -> list[ClassMetrics]:
         u = 0.0 if i == 1 else b / (m * (1.0 - load[i - 1]) * (1.0 - load[i]))
         g = load[i] / (cum_rate[i] * (1.0 - load[i]))
         h = cum_rate[i] * (c[i] - c[i - 1]) / lam_i
-        out.append(_assemble(i, p, u, h, g, b))
+        out.append(_assemble(p, u, h, g, b))
     return out
 
 

@@ -12,6 +12,11 @@ path, ``sample_block``; ``sample`` is a block of one, and a block of ``n``
 consumes the stream exactly as ``n`` single draws would and gives the same
 bits, so seeded runs reproduce bit-identical variate sequences however the
 draws are split into blocks.
+Each law declares its text form once, in ``_spec``: the spec name, then the
+type that parses each field in ``__slots__`` order.  ``spec()`` and
+:func:`parse_distribution` both read it, so a new law needs only its class,
+named in ``_LAWS`` beside ``__all__``.  HyperExponential, whose one field is
+a list of ``p:r`` pairs, renders and parses that field itself.
 Each law checks when built that its parameters and moments pass
 :func:`require_finite`, the validity rule shared by all model and run inputs
 (:func:`require_count` is its rule for counts).
@@ -123,6 +128,7 @@ class ServiceDistribution:
 
     # empty, so that the slotted variants carry no instance dict
     __slots__ = ()
+    _spec: tuple = ()
 
     def check_moments(self) -> None:
         """Raise ValueError unless the mean and second moment are finite and positive."""
@@ -153,8 +159,11 @@ class ServiceDistribution:
         return np.array([self.sample(stream) for _ in range(n)], dtype=np.float64)
 
     def spec(self) -> str:
-        """Textual form accepted by :func:`parse_distribution`."""
-        raise NotImplementedError
+        """Text accepted by :func:`parse_distribution`: the ``_spec`` name, then each field's ``repr``."""
+        if not self._spec:
+            raise NotImplementedError
+        fields = ",".join(repr(getattr(self, name)) for name in self.__slots__)
+        return f"{self._spec[0]}({fields})"
 
 
 def _exponentials(uniforms: np.ndarray, rate) -> np.ndarray:
@@ -167,6 +176,7 @@ def _exponentials(uniforms: np.ndarray, rate) -> np.ndarray:
 
 class Exponential(_Frozen, ServiceDistribution):
     __slots__ = ("rate",)
+    _spec = ("exp", float)
 
     def __init__(self, rate: float):
         _setattr(self, "rate", rate)
@@ -182,12 +192,10 @@ class Exponential(_Frozen, ServiceDistribution):
     def sample_block(self, stream, n: int) -> np.ndarray:
         return _exponentials(stream.random(n), self.rate)
 
-    def spec(self) -> str:
-        return f"exp({self.rate!r})"
-
 
 class Deterministic(_Frozen, ServiceDistribution):
     __slots__ = ("value",)
+    _spec = ("det", float)
 
     def __init__(self, value: float):
         _setattr(self, "value", value)
@@ -206,14 +214,12 @@ class Deterministic(_Frozen, ServiceDistribution):
         # consumes no uniforms
         return np.full(n, self.value)
 
-    def spec(self) -> str:
-        return f"det({self.value!r})"
-
 
 class Erlang(_Frozen, ServiceDistribution):
     """Sum of ``shape`` independent exponential stages of the given rate."""
 
     __slots__ = ("shape", "rate")
+    _spec = ("erlang", int, float)
 
     def __init__(self, shape: int, rate: float):
         _setattr(self, "shape", shape)
@@ -239,14 +245,12 @@ class Erlang(_Frozen, ServiceDistribution):
             total += column
         return total
 
-    def spec(self) -> str:
-        return f"erlang({self.shape},{self.rate!r})"
-
 
 class HyperExponential(_Frozen, ServiceDistribution):
     """Probabilistic mixture of exponentials: branches of (probability, rate)."""
 
     __slots__ = ("branches",)
+    _spec = ("hyperexp",)
 
     def __init__(self, branches: tuple[tuple[float, float], ...]):
         _setattr(self, "branches", tuple(tuple(b) for b in branches))
@@ -286,6 +290,7 @@ class HyperExponential(_Frozen, ServiceDistribution):
 
 class Uniform(_Frozen, ServiceDistribution):
     __slots__ = ("lo", "hi")
+    _spec = ("uniform", float, float)
 
     def __init__(self, lo: float, hi: float):
         _setattr(self, "lo", lo)
@@ -305,18 +310,19 @@ class Uniform(_Frozen, ServiceDistribution):
     def sample_block(self, stream, n: int) -> np.ndarray:
         return self.lo + (self.hi - self.lo) * stream.random(n)
 
-    def spec(self) -> str:
-        return f"uniform({self.lo!r},{self.hi!r})"
-
 
 _SPEC_RE = re.compile(r"([a-z]+)\((.*)\)\Z")
 
 
-def _parse_float(token: str, what: str) -> float:
+def _number(kind: type, token: str, what: str):
+    """``kind(token)``, or a ValueError naming ``what`` when ``token`` is no such number."""
     try:
-        return float(token)
+        return kind(token)
     except ValueError:
         raise ValueError(f"malformed {what} {token!r}") from None
+
+
+_LAWS = {law._spec[0]: law for law in (Exponential, Deterministic, Erlang, HyperExponential, Uniform)}
 
 
 def parse_distribution(text: str) -> ServiceDistribution:
@@ -331,32 +337,19 @@ def parse_distribution(text: str) -> ServiceDistribution:
         raise ValueError(f"malformed distribution spec {text!r}")
     name, body = m.group(1), m.group(2)
     args = [a.strip() for a in body.split(",")] if body.strip() else []
-    if name == "exp":
-        if len(args) != 1:
-            raise ValueError(f"exp() takes one argument, got {text!r}")
-        return Exponential(_parse_float(args[0], "rate"))
-    if name == "det":
-        if len(args) != 1:
-            raise ValueError(f"det() takes one argument, got {text!r}")
-        return Deterministic(_parse_float(args[0], "value"))
-    if name == "erlang":
-        if len(args) != 2:
-            raise ValueError(f"erlang() takes two arguments, got {text!r}")
-        try:
-            shape = int(args[0])
-        except ValueError:
-            raise ValueError(f"malformed erlang shape {args[0]!r}") from None
-        return Erlang(shape, _parse_float(args[1], "rate"))
-    if name == "hyperexp":
+    law = _LAWS.get(name)
+    if law is None:
+        raise ValueError(f"unknown distribution {name!r}")
+    if law is HyperExponential:
         branches = []
         for part in args:
             if ":" not in part:
                 raise ValueError(f"malformed hyperexp branch {part!r}")
             p, r = part.split(":", 1)
-            branches.append((_parse_float(p, "probability"), _parse_float(r, "rate")))
+            branches.append((_number(float, p, "probability"), _number(float, r, "rate")))
         return HyperExponential(tuple(branches))
-    if name == "uniform":
-        if len(args) != 2:
-            raise ValueError(f"uniform() takes two arguments, got {text!r}")
-        return Uniform(_parse_float(args[0], "lower bound"), _parse_float(args[1], "upper bound"))
-    raise ValueError(f"unknown distribution {name!r}")
+    n = len(law.__slots__)
+    if len(args) != n:
+        raise ValueError(f"{name}() takes {n} argument{'s' * (n > 1)}, got {text!r}")
+    return law(*(_number(kind, token, f"{name} {field}")
+                 for kind, token, field in zip(law._spec[1:], args, law.__slots__)))

@@ -13,6 +13,14 @@ class DomainError(ValueError):
     """An operation's mathematical preconditions do not hold."""
 
 
+class _ClassError(ValueError):
+    """A model input that class ``index`` (1-based) gets wrong, so a scenario can name its line."""
+
+    def __init__(self, index: int, message: str):
+        self.index = index
+        super().__init__(f"class {index} {message}")
+
+
 class ClassSpec(_Frozen):
     """One priority class: Poisson arrival rate plus its service-time law."""
 
@@ -44,4 +52,4 @@ class SystemModel(_Frozen):
             # the closed forms divide by the load of the classes above a class,
             # which a subnormal arrival rate rounds to 0
             if not spec.arrival_rate * spec.service.mean() / servers > 0:
-                raise ValueError(f"class {k} load per server underflows to 0")
+                raise _ClassError(k, "load per server underflows to 0")

@@ -12,8 +12,8 @@ comment (full-line or trailing).  Distribution specs follow
 whitespace.  Parse errors carry the 1-based line number.
 """
 
-from .distributions import _Frozen, _setattr, parse_distribution
-from .model import ClassSpec, SystemModel
+from .distributions import _Frozen, _number, _setattr, parse_distribution
+from .model import ClassSpec, SystemModel, _ClassError
 
 __all__ = ["Scenario", "ScenarioError", "parse_scenario", "render_scenario"]
 
@@ -51,22 +51,20 @@ def _class_spec(tokens: list[str]) -> ClassSpec:
     for key in ("lambda", "service"):
         if key not in values:
             raise ValueError(f"class line is missing {key}=")
-    try:
-        rate = float(values["lambda"])
-    except ValueError:
-        raise ValueError(f"malformed rate {values['lambda']!r}") from None
-    return ClassSpec(arrival_rate=rate, service=parse_distribution(values["service"]))
+    return ClassSpec(arrival_rate=_number(float, values["lambda"], "rate"),
+                     service=parse_distribution(values["service"]))
 
 
 def parse_scenario(text: str) -> Scenario:
     """Parse scenario text; raises ScenarioError with a line number on failure.
 
     Values are checked by the constructors of the objects they become; a
-    ValueError from one is reported against its directive's line.
+    ValueError is reported against the line of the directive or class it is about.
     """
     servers: int | None = None
     servers_line: int | None = None
     classes: list[ClassSpec] = []
+    class_lines: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -78,12 +76,10 @@ def parse_scenario(text: str) -> Scenario:
                     raise ValueError("duplicate servers directive")
                 if len(args) != 1:
                     raise ValueError("servers takes exactly one value")
-                try:
-                    servers, servers_line = int(args[0]), lineno
-                except ValueError:
-                    raise ValueError(f"malformed server count {args[0]!r}") from None
+                servers, servers_line = _number(int, args[0], "server count"), lineno
             elif keyword == "class":
                 classes.append(_class_spec(args))
+                class_lines.append(lineno)
             else:
                 raise ValueError(f"unknown directive {keyword!r}")
         except ValueError as exc:
@@ -94,6 +90,8 @@ def parse_scenario(text: str) -> Scenario:
         raise ScenarioError("scenario defines no classes")
     try:
         return Scenario(model=SystemModel(servers=servers, classes=tuple(classes)))
+    except _ClassError as exc:
+        raise ScenarioError(str(exc), class_lines[exc.index - 1]) from None
     except ValueError as exc:
         raise ScenarioError(str(exc), servers_line) from None
 

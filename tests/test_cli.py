@@ -146,7 +146,7 @@ def test_scenario_parse_error_reports_file_and_line(capsys, tmp_path):
         # a server count this large would hang analytic and overflow simulate
         (100000000, "lambda=1 service=exp(1)", 1),
         (99999999999999999999, "lambda=1 service=exp(1)", 1),
-        (3, "lambda=5e-324 service=exp(1)", 1),
+        (3, "lambda=5e-324 service=exp(1)", 2),
     ):
         cfg.write_text(f"servers {servers}\nclass {bad}\n")
         code, out, err = run_cli(capsys, "analytic", "--config", str(cfg))
@@ -222,6 +222,32 @@ def test_analytic_survives_fuzzed_scenarios(tmp_path_factory, text, mode):
     assert code in (0, 1, 2), (code, err.getvalue())
     assert err.getvalue().count("\n") <= 1 and "Traceback" not in err.getvalue()
     assert (code == 0) == (err.getvalue() == "")
+
+
+def _capped_rates(text):
+    """``text`` with every arrival rate above 100 lowered to 100."""
+    def cap(match):
+        try:
+            return "lambda=100" if float(match.group(1)) > 100 else match.group(0)
+        except ValueError:
+            return match.group(0)
+    return re.sub(r"lambda=(\S*)", cap, text)
+
+
+@settings(max_examples=50, deadline=None)
+@given(text=_fuzzed_scenarios().map(_capped_rates), command=st.sampled_from(["simulate", "compare"]))
+def test_simulators_survive_fuzzed_scenarios(tmp_path_factory, text, command):
+    # as for analytic, plus 3 for a run cut at --max-time; the rate cap and
+    # --max-time bound each run in events, where --max-time alone would not
+    cfg = tmp_path_factory.getbasetemp() / "fuzzed.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, "--config", str(cfg), "--jobs", "20", "--reps", "2", "--warmup", "1",
+                     "--max-time", "10"])
+    assert code in (0, 1, 2, 3), (code, err.getvalue())
+    assert err.getvalue().count("\n") <= 1 and "Traceback" not in err.getvalue()
+    assert (code in (0, 3)) == (err.getvalue() == "")
 
 
 @pytest.mark.parametrize(

@@ -226,6 +226,23 @@ def test_spec_string_round_trips(dist):
     assert parse_distribution(dist.spec()) == dist
 
 
+def test_every_package_law_parses_by_its_spec_name():
+    # a law exported without an entry in the parser's table, or without an
+    # instance here, fails
+    import mgmprio.distributions as module
+
+    laws = {law for law in map(module.__dict__.get, module.__all__)
+            if isinstance(law, type) and issubclass(law, ServiceDistribution) and law is not ServiceDistribution}
+    assert laws == {type(dist) for dist in VARIANTS}
+    for dist in VARIANTS:
+        assert parse_distribution(dist.spec()) == dist
+        name = dist.spec().partition("(")[0]
+        if type(dist) is not HyperExponential:
+            n = len(type(dist).__slots__)
+            with pytest.raises(ValueError, match=rf"^{name}\(\) takes {n} argument"):
+                parse_distribution(f"{name}({','.join(['1'] * (n + 1))})")
+
+
 def test_parse_accepts_interior_whitespace():
     assert parse_distribution(" exp( 2.5 ) ") == Exponential(2.5)
 

@@ -86,9 +86,12 @@ def test_comments_and_blank_lines_are_ignored():
         # erlang_c would loop 1e8 times per class, and the simulator's server lists overflow at 1e20
         ("servers 100000000\nclass lambda=1 service=exp(1)", 1, "server count"),
         ("servers 99999999999999999999\nclass lambda=1 service=exp(1)", 1, "server count"),
-        # approx_metrics divided class 2's delay by class 1's load of 0
-        ("servers 3\nclass lambda=5e-324 service=exp(1)\nclass lambda=1 service=exp(1)", 1, "class 1 load"),
-        ("servers 1\nclass lambda=1e-300 service=det(1e-30)\nclass lambda=1 service=exp(1)", 1, "class 1 load"),
+        # approx_metrics divided class 2's delay by class 1's load of 0; the
+        # model refuses such a class, reported against the class's own line
+        ("servers 3\nclass lambda=5e-324 service=exp(1)\nclass lambda=1 service=exp(1)", 2, "class 1 load"),
+        ("servers 1\nclass lambda=1e-300 service=det(1e-30)\nclass lambda=1 service=exp(1)", 2, "class 1 load"),
+        ("servers 4\n# a comment\nclass lambda=1 service=exp(2)\nclass lambda=5e-324 service=det(0.5)", 4,
+         "class 2 load"),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, bad_line, fragment):
