@@ -203,7 +203,15 @@ def reference_lifo_trace(servers: int, trace) -> dict[tuple[int, float], tuple[f
 def reference_policy_trace(
     servers: int, trace, lifo: bool, equal_class_preemption: bool
 ) -> dict[tuple[int, float], tuple[float, float, int]]:
-    """(first start, completion, preemption count) of each job of a trace, keyed by (class, arrival).
+    """:func:`reference_policy_jobs`, keyed by each job's (class, arrival)."""
+    jobs = reference_policy_jobs(servers, trace, lifo, equal_class_preemption)
+    return {(c, t): job for (t, c, _), job in zip(trace, jobs)}
+
+
+def reference_policy_jobs(
+    servers: int, trace, lifo: bool, equal_class_preemption: bool
+) -> list[tuple[float, float, int]]:
+    """(first start, completion, preemption count) of each job of a trace, in trace order.
 
     An event-by-event simulator built from lists, sorts and scans.  An
     arrival takes a free server, or else displaces the in-service job of the
@@ -214,7 +222,10 @@ def reference_policy_trace(
     Completions at one instant go before its arrivals, and arrivals enter
     one at a time in trace order.  The same trace conditions as
     :func:`reference_lifo_trace` apply: distinct (class, time) pairs, so no
-    tie needs a server index or a pool order, and exact arithmetic.
+    tie needs a server index or a pool order, and exact arithmetic.  Jobs
+    that share class, time and service may break the first condition where
+    every tie falls between jobs in equal states, so that only which job is
+    which is left open: then the outcomes agree as a multiset.
     """
     remaining = [service for _, _, service in trace]
     first = [None] * len(trace)
@@ -258,4 +269,4 @@ def reference_policy_trace(
             start(j)
         else:
             waiting.append(j)
-    return {(c, t): (first[j], done[j], preemptions[j]) for j, (t, c, _) in enumerate(trace)}
+    return list(zip(first, done, preemptions))

@@ -1,5 +1,6 @@
 """Engine semantics on scripted traces plus stochastic-run properties."""
 
+import heapq
 import io
 import math
 import tracemalloc
@@ -25,7 +26,7 @@ from mgmprio import (
     run,
     write_job_records,
 )
-from oracles import reference_lifo_trace, reference_per_class_raw, reference_policy_trace
+from oracles import reference_lifo_trace, reference_per_class_raw, reference_policy_jobs, reference_policy_trace
 
 M1 = SystemModel(1, [ClassSpec(1.0, Exponential(1.0))])
 M1_TWO = SystemModel(1, [ClassSpec(1.0, Exponential(1.0)), ClassSpec(1.0, Exponential(1.0))])
@@ -44,6 +45,12 @@ LIFO = PolicyConfig()
 FIFO = PolicyConfig(within_class_order="fifo")
 STRICT = PolicyConfig(equal_class_preemption=False)
 FIFO_STRICT = PolicyConfig(within_class_order="fifo", equal_class_preemption=False)
+ALL_POLICIES = pytest.mark.parametrize("policy", [LIFO, FIFO, STRICT, FIFO_STRICT],
+                                       ids=["lifo", "fifo", "lifo-strict", "fifo-strict"])
+
+# victim lookup by a scan of every busy server's key, the default for up to
+# _VICTIM_SCAN_MAX servers, and by the index, which a crossover of 0 forces on
+SCAN, INDEX = mgmprio.simulation._VICTIM_SCAN_MAX, 0
 
 
 def by_arrival(result, t):
@@ -236,13 +243,21 @@ def _lifo_traces(draw):
     return servers, n_classes, sorted(jobs, key=lambda job: job[0])
 
 
+def run_with_victim_lookup(scan_max, model, policy, cfg):
+    # a plain context, not the monkeypatch fixture, which Hypothesis would share across examples
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mgmprio.simulation, "_VICTIM_SCAN_MAX", scan_max)
+        return run(model, policy, cfg)
+
+
+@pytest.mark.parametrize("scan_max", [SCAN, INDEX], ids=["scan", "index"])
 @settings(max_examples=300, deadline=None)
-@given(_lifo_traces())
-def test_lifo_trace_matches_reference_simulator(case):
+@given(case=_lifo_traces())
+def test_lifo_trace_matches_reference_simulator(scan_max, case):
     # times and services are multiples of 1/8, so both simulators compute exactly
     servers, n_classes, jobs = case
     model = SystemModel(servers, [ClassSpec(1.0, Exponential(1.0))] * n_classes)
-    result = run(model, LIFO, TraceInput(jobs))
+    result = run_with_victim_lookup(scan_max, model, LIFO, TraceInput(jobs))
     engine = {
         (r.class_index, r.arrival_time): (r.first_start_time, r.completion_time, r.preemption_count)
         for r in result.records
@@ -252,19 +267,39 @@ def test_lifo_trace_matches_reference_simulator(case):
     assert reference_policy_trace(servers, jobs, True, True) == engine
 
 
-@pytest.mark.parametrize("policy", [FIFO, STRICT, FIFO_STRICT], ids=["fifo", "lifo-strict", "fifo-strict"])
+@pytest.mark.parametrize(
+    "policy, scan_max",
+    [(FIFO, SCAN), (STRICT, SCAN), (FIFO_STRICT, SCAN), (FIFO, INDEX), (STRICT, INDEX), (FIFO_STRICT, INDEX)],
+    ids=["fifo", "lifo-strict", "fifo-strict", "fifo-index", "lifo-strict-index", "fifo-strict-index"],
+)
 @settings(max_examples=300, deadline=None)
 @given(case=_lifo_traces())
-def test_trace_matches_policy_reference_simulator(policy, case):
+def test_trace_matches_policy_reference_simulator(policy, scan_max, case):
     servers, n_classes, jobs = case
     model = SystemModel(servers, [ClassSpec(1.0, Exponential(1.0))] * n_classes)
-    result = run(model, policy, TraceInput(jobs))
+    result = run_with_victim_lookup(scan_max, model, policy, TraceInput(jobs))
     engine = {
         (r.class_index, r.arrival_time): (r.first_start_time, r.completion_time, r.preemption_count)
         for r in result.records
     }
     lifo = policy.within_class_order == "lifo"
     assert engine == reference_policy_trace(servers, jobs, lifo, policy.equal_class_preemption)
+
+
+@ALL_POLICIES
+def test_victim_index_on_equal_jobs_displacing_each_other(policy, monkeypatch):
+    # five equal class-1 jobs at t = 0 displace each other on two servers.  At t = 1 each
+    # server's completed job leaves a stale key in the index that shares (-class, arrival,
+    # server) with the key of the job resumed there, and the arrival at t = 1.5 finds its
+    # victim past them.  The equal jobs are told apart only by their outcomes, so these are
+    # compared as a multiset.
+    monkeypatch.setattr(mgmprio.simulation, "_VICTIM_SCAN_MAX", INDEX)
+    jobs = [(0.0, 1, 1.0)] * 5 + [(1.5, 1, 1.0)]
+    result = run(SystemModel(2, [ClassSpec(1.0, Exponential(1.0))]), policy, TraceInput(jobs))
+    engine = [(r.class_index, r.arrival_time, r.first_start_time, r.completion_time, r.preemption_count)
+              for r in result.records]
+    reference = reference_policy_jobs(2, jobs, policy.within_class_order == "lifo", policy.equal_class_preemption)
+    assert sorted(engine) == sorted((c, t, *job) for (t, c, _), job in zip(jobs, reference))
 
 
 def test_simultaneous_completion_processed_before_arrival():
@@ -423,6 +458,34 @@ def test_block_size_is_not_observable(model, policy, monkeypatch):
     for block in (1, 3):
         monkeypatch.setattr(mgmprio.simulation, "_BLOCK", block)
         assert run(model, policy, cfg).records == default.records
+
+
+@ALL_POLICIES
+@pytest.mark.parametrize(
+    "model, min_heapified",
+    [
+        (SystemModel(2, [ClassSpec(0.8, Exponential(1.0)), ClassSpec(0.8, Exponential(2.0))]), 1),
+        (SystemModel(9, [ClassSpec(3.0, Exponential(1.0)), ClassSpec(3.0, Deterministic(1.0)),
+                         ClassSpec(3.0, Exponential(2.0))]), 1),
+        (SystemModel(32, [ClassSpec(6.8, Exponential(1.0))] * 4), 1),
+        # load 1.25: every server stays busy from early on, so the index is built afresh at 2m
+        # keys again and again within one all-busy period
+        (SystemModel(16, [ClassSpec(5.0, Exponential(1.0))] * 4), 100),
+    ],
+    ids=["m2", "m9", "m32", "m16-overloaded"],
+)
+def test_victim_index_is_not_observable(model, min_heapified, policy, monkeypatch):
+    cfg = RunConfig(seed=31, target_completions=3000, warmup_time=20.0)
+    monkeypatch.setattr(mgmprio.simulation, "_VICTIM_SCAN_MAX", math.inf)
+    scanned = run(model, policy, cfg)
+    heapified = []
+    monkeypatch.setattr(mgmprio.simulation, "heapify", lambda keys: (heapified.append(len(keys)), heapq.heapify(keys)))
+    monkeypatch.setattr(mgmprio.simulation, "_VICTIM_SCAN_MAX", INDEX)
+    indexed = run(model, policy, cfg)
+    assert indexed.records == scanned.records
+    assert indexed.end_time == scanned.end_time
+    # every index is built from all the servers' keys
+    assert len(heapified) >= min_heapified and set(heapified) == {model.servers}
 
 
 def test_subnormal_arrival_rate_runs_without_warnings():
