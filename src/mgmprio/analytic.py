@@ -20,11 +20,12 @@ The six per-class quantities (classes ordered highest priority first):
 =====  ==============================================================
 
 They are tied together by structural identities that hold in every mode:
-``w = p*u + h*g`` and ``v = w + mean service``.  The number of
-interruptions satisfies ``h = L_i * (c_i - c_{i-1}) / lambda_i`` where
-``L_i`` is the arrival rate of classes 1..i and ``c_j`` is the probability
-that the subsystem of classes 1..j keeps all servers busy (``c_j`` is also
-class j+1's ``p``).  :func:`check_identities` reports the residuals.
+``w = p*u + h*g`` and ``v = w + mean service``, from which every mode
+builds ``w`` and ``v``.  The number of interruptions satisfies
+``h = L_i * (c_i - c_{i-1}) / lambda_i`` where ``L_i`` is the arrival
+rate of classes 1..i and ``c_j`` is the probability that the subsystem of
+classes 1..j keeps all servers busy (``c_j`` is also class j+1's ``p``).
+:func:`check_identities` reports that identity's residual.
 
 Stability is by priority prefix: classes whose cumulative per-server load
 reaches 1 are returned with the ``stable`` flag cleared and no values,
@@ -254,38 +255,26 @@ def exact_mmm_identical(model: SystemModel) -> list[ClassMetrics]:
 
 
 class IdentityResiduals(_Frozen):
-    """Residuals of the three structural identities for one stable class."""
+    """Residual of the preemption identity for one stable class."""
 
-    __slots__ = (
-        "waiting",      # w - (p*u + h*g)
-        "sojourn",      # v - (w + mean service)
-        "preemptions",  # h - L_i * (c_i - c_{i-1}) / lambda_i
-    )
+    __slots__ = ("preemptions",)  # h - L_i * (c_i - c_{i-1}) / lambda_i
 
-    def __init__(self, waiting: float, sojourn: float, preemptions: float):
-        _setattr(self, "waiting", waiting)
-        _setattr(self, "sojourn", sojourn)
+    def __init__(self, preemptions: float):
         _setattr(self, "preemptions", preemptions)
 
 
 def check_identities(
     metrics: list[ClassMetrics], model: SystemModel
 ) -> list[IdentityResiduals | None]:
-    """Residuals of the structural identities, one entry per class.
+    """Residuals of the preemption identity, one entry per class.
 
-    ``c_j`` in the preemption identity is the all-servers-busy probability
-    of the classes-1..j subsystem as each mode defines it: the prefix load
-    itself on a single channel, the Erlang C value otherwise.  Unstable
-    classes yield None.
-
-    Every mode of this module builds ``w`` and ``v`` from their identities
-    (``_assemble``), so on its metrics the ``waiting`` and ``sojourn``
-    residuals are zero by construction (under :func:`exact_mmm_identical`,
-    up to the 1e-12 relative spread it allows between the class rates).
-    They test metrics built elsewhere; only ``preemptions`` tests a mode's
-    own formulas.
+    ``c_j`` in the identity is the all-servers-busy probability of the
+    classes-1..j subsystem as each mode defines it: the prefix load itself
+    on a single channel, the Erlang C value otherwise.  Unstable classes
+    yield None.  The identities for ``w`` and ``v`` have no residual here:
+    every mode builds ``w`` and ``v`` from them (``_assemble``).
     """
-    load, cum_rate, b1, _ = _components(model)
+    load, cum_rate, _, _ = _components(model)
     if model.servers == 1:
         c = [r if r < 1.0 else None for r in load]
     else:
@@ -296,8 +285,5 @@ def check_identities(
             out.append(None)
             continue
         lam_i = model.classes[i - 1].arrival_rate
-        r_w = mtr.w - (mtr.p * mtr.u + mtr.h * mtr.g)
-        r_v = mtr.v - (mtr.w + b1[i - 1])
-        r_h = mtr.h - cum_rate[i] * (c[i] - c[i - 1]) / lam_i
-        out.append(IdentityResiduals(waiting=r_w, sojourn=r_v, preemptions=r_h))
+        out.append(IdentityResiduals(mtr.h - cum_rate[i] * (c[i] - c[i - 1]) / lam_i))
     return out

@@ -8,8 +8,9 @@ Subcommands::
 
 Exit status: 0 on success, 1 on usage or scenario-parse errors and on
 invalid values, non-finite ones included, 2 when the model is outside the
-requested mode's domain, 3 when a simulation was truncated (by the time
-cap, or as no class arrives any more).  Each subcommand builds its rows
+requested mode's domain, 3 when a simulation was truncated: a
+replication's arrivals ran out, at the time cap or as no class arrives
+any more, before it counted its jobs.  Each subcommand builds its rows
 once for one emitter: tables round to 6 significant digits, CSV keeps full
 double precision and, for a fixed seed, is byte-stable across invocations.
 ``compare`` leaves ``covered`` blank when fewer than 2 replications

@@ -49,12 +49,15 @@ Scheduling semantics, in full:
 With a :class:`RunConfig`, only jobs arriving strictly after
 ``warmup_time`` are counted and the run stops once ``target_completions``
 counted jobs have finished; jobs still in flight are dropped from the
-statistics.  If the clock would pass ``max_simulated_time`` first, or no
-class arrives any more (every next arrival lies at t = inf, as a subnormal
-arrival rate gives), the run stops early and the result is flagged
-truncated.  With a
-:class:`TraceInput`, the scripted arrivals are run to completion and every
-job is counted; its times and services are taken as doubles.
+statistics.  The time cap lives in the arrival stream alone: it yields no
+arrival past ``max_simulated_time`` and none at t = inf (as a subnormal
+arrival rate gives), and ends in one arrival of class 0 at the cap, inf
+when uncapped.  Reaching that arrival is the one early stop: the cap came
+first, or no class arrives any more, and the result is flagged truncated.
+With a :class:`TraceInput`, the scripted arrivals are run to completion,
+the trace ending in a class-0 arrival at inf, and every job is counted;
+its times and services are taken as doubles.  Either way ``end_time`` is
+the time of the last event processed.
 
 Each counted job is logged on completion as one 40-byte packed row of the
 run's :class:`JobLog` (class index, arrival, service, first start and
@@ -239,8 +242,12 @@ class RunResult:
 
     records: JobLog
     truncated: bool
-    counted_completions: int
     end_time: float
+
+    @property
+    def counted_completions(self) -> int:
+        """How many jobs the run counted: one per row of ``records``."""
+        return len(self.records)
 
 
 def substreams(seed: int, n: int) -> "list[np.random.Generator]":
@@ -260,14 +267,16 @@ def substreams(seed: int, n: int) -> "list[np.random.Generator]":
 _CLS, _ARRIVAL, _SERVICE, _REMAINING, _FIRST_START, _SINCE, _INTERVALS = range(7)
 
 
-def _arrival_windows(model: SystemModel, seed: int):
-    """Yield all classes' arrivals in time order, as one zip of (time, class, service) per window.
+def _arrival_windows(model: SystemModel, seed: int, cap: float):
+    """Yield all classes' arrivals up to ``cap`` in time order, one iterable of (time, class, service) per window.
 
     Each class draws its gaps and services in blocks of ``_BLOCK`` jobs,
     arrival times being the running sum of the gaps carried from one block
     to the next.  A window ends at the smallest last-drawn time over the
-    classes, so every arrival up to it is known, and takes those arrivals
-    in time order, equal times in class order.
+    classes, or at ``cap`` if that is less, so every arrival up to it is
+    known, and takes those arrivals in time order, equal times in class
+    order.  No arrival at t = inf is yielded: the stream ends in one
+    arrival of class 0 at ``cap``, inf when uncapped.
     """
     n_classes = len(model.classes)
     streams = substreams(seed, 2 * n_classes)
@@ -276,7 +285,8 @@ def _arrival_windows(model: SystemModel, seed: int):
     times = [np.zeros(1)] * n_classes
     services = [None] * n_classes
     start = [1] * n_classes
-    while True:
+    end = -math.inf
+    while end < cap:
         for k, c in enumerate(model.classes):
             if start[k] == len(times[k]):
                 # a subnormal rate overflows a gap to inf: the class stops arriving
@@ -286,10 +296,12 @@ def _arrival_windows(model: SystemModel, seed: int):
                 times[k] = np.cumsum(gaps)
                 services[k] = c.service.sample_block(streams[2 * k + 1], _BLOCK)
                 start[k] = 0
-        end = min(t[-1] for t in times)
+        end = min(cap, *(t[-1] for t in times))
+        # every arrival up to the end, but none at t = inf
+        side = "right" if end < math.inf else "left"
         t_parts, c_parts, s_parts = [], [], []
         for k in range(n_classes):
-            stop = int(np.searchsorted(times[k], end, side="right"))
+            stop = int(np.searchsorted(times[k], end, side=side))
             t_parts.append(times[k][start[k]:stop])
             s_parts.append(services[k][start[k]:stop])
             c_parts.append(np.full(stop - start[k], k + 1))
@@ -298,6 +310,7 @@ def _arrival_windows(model: SystemModel, seed: int):
         c = np.concatenate(c_parts)
         order = np.lexsort((c, t))
         yield zip(t[order].tolist(), c[order].tolist(), np.concatenate(s_parts)[order].tolist())
+    yield ((cap, 0, 0.0),)
 
 
 def run(model: SystemModel, policy: PolicyConfig, cfg) -> RunResult:
@@ -323,8 +336,7 @@ def run(model: SystemModel, policy: PolicyConfig, cfg) -> RunResult:
     # last key would still look current, and None until the next lookup once it holds 2m
     scan = m <= _VICTIM_SCAN_MAX
     busy = None
-    token = 0
-    pool_seq = 0
+    token = 0  # counts starts and pool insertions alike: only the order of its values is compared
     log = JobLog()
     log_row = log._rows.extend
     log_intervals = log._intervals.append
@@ -341,31 +353,28 @@ def run(model: SystemModel, policy: PolicyConfig, cfg) -> RunResult:
             if spec.arrival_rate * span >= 2**53:
                 raise ValueError(f"class {k} arrival rate {spec.arrival_rate!r} times {span!r}, the lesser of "
                                  f"warm-up and time cap, reaches 2**53: the clock cannot resolve its arrival gaps")
-        arrivals = chain.from_iterable(_arrival_windows(model, cfg.seed))
+        arrivals = chain.from_iterable(_arrival_windows(model, cfg.seed, cfg.max_simulated_time))
         warmup = cfg.warmup_time
         target = cfg.target_completions
-        horizon = cfg.max_simulated_time
     else:
         for seq, (t, cls, service) in enumerate(cfg.arrivals):
             if cls > n_classes:
                 raise ValueError(f"trace entry {seq} names class {cls}, model has {n_classes}")
-        # the clock runs on doubles, as the log stores them; an arrival at inf marks the end of the trace
+        # the clock runs on doubles, as the log stores them; like the stochastic stream, the trace
+        # ends in an arrival of class 0, at inf
         arrivals = chain([(float(t), cls, float(service)) for t, cls, service in cfg.arrivals],
                          [(math.inf, 0, 0.0)])
         warmup = -math.inf
         target = math.inf
-        horizon = math.inf
 
     for t_next, cls_next, service_next in arrivals:
         # a completion goes before an arrival at the same time
         while events and events[0][0] <= t_next:
-            now, _, key = heappop(events)
-            if now > horizon:
-                truncated = True
-                break
+            t_done, _, key = heappop(events)
             sidx = key[2]
             if server_key[sidx] is not key:
-                continue  # stale: that job was displaced
+                continue  # stale: that job was displaced, so nothing happens at t_done
+            now = t_done
             job = key[4]
             if job[_ARRIVAL] > warmup:
                 log_row(pack_row(job[_CLS], job[_ARRIVAL], job[_SERVICE], job[_FIRST_START], now))
@@ -397,14 +406,11 @@ def run(model: SystemModel, policy: PolicyConfig, cfg) -> RunResult:
             if pool and idle:
                 raise RuntimeError("work conservation violated: idle server with waiting jobs")
         else:
-            if t_next == math.inf:
-                # every job has completed: the trace is over, or no class arrives any more
+            if not cls_next:
+                # the stream is over: the time cap, the end of the trace, or no class arrives any more
                 truncated = target != math.inf
                 break
             now = t_next
-            if now > horizon:
-                truncated = True
-                break
             job = [cls_next, now, service_next, service_next, now, now, None]
             if idle:
                 sidx = heappop(idle)
@@ -424,16 +430,16 @@ def run(model: SystemModel, policy: PolicyConfig, cfg) -> RunResult:
                 if -key[0] < cls_next + min_victim_delta:
                     # no server for the arrival: it waits, not yet started
                     job[_FIRST_START] = None
-                    heappush(pool, (cls_next, -now if lifo else now, pool_seq, job))
-                    pool_seq += 1
+                    token += 1
+                    heappush(pool, (cls_next, -now if lifo else now, token, job))
                     continue
                 # the victim joins the pool and the arrival takes its server
                 sidx = key[2]
                 victim = key[4]
                 victim[_REMAINING] -= now - victim[_SINCE]
                 victim[_SINCE] = now
-                heappush(pool, (victim[_CLS], -victim[_ARRIVAL] if lifo else victim[_ARRIVAL], pool_seq, victim))
-                pool_seq += 1
+                token += 1
+                heappush(pool, (victim[_CLS], -victim[_ARRIVAL] if lifo else victim[_ARRIVAL], token, victim))
             # the arrival starts at once
             token += 1
             key = server_key[sidx] = (-cls_next, now, sidx, token, job)
@@ -444,15 +450,10 @@ def run(model: SystemModel, policy: PolicyConfig, cfg) -> RunResult:
             if pool and idle:
                 raise RuntimeError("work conservation violated: idle server with waiting jobs")
             continue
-        # the horizon or the target was reached
+        # the target was reached
         break
 
-    return RunResult(
-        records=log,
-        truncated=truncated,
-        counted_completions=counted_done,
-        end_time=now,
-    )
+    return RunResult(records=log, truncated=truncated, end_time=now)
 
 
 @dataclass(frozen=True)

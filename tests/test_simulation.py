@@ -5,6 +5,7 @@ import io
 import math
 import tracemalloc
 import warnings
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -508,9 +509,30 @@ def test_horizon_truncation_reported():
     result = run(SystemModel(1, [ClassSpec(0.5, Exponential(1.0))]), LIFO, cfg)
     assert result.truncated
     assert result.counted_completions < 10**6
-    # the run ends at the first event past the horizon, which is not logged
-    assert result.end_time > 50.0
+    # the run ends at its last event up to the cap
+    assert result.records[-1].completion_time <= result.end_time <= 50.0
     assert all(r.completion_time <= 50.0 for r in result.records)
+
+
+@pytest.mark.parametrize("policy", [LIFO, FIFO_STRICT], ids=["lifo", "fifo-strict"])
+@pytest.mark.parametrize("seed", [1, 7919])
+def test_time_cap_cuts_the_uncapped_run(seed, policy):
+    # with no warm-up, every job arriving by a cap is counted, and the uncapped run outlasts them all
+    uncapped = run(PAPER_S4, policy, RunConfig(seed=seed, target_completions=3000, warmup_time=0.0))
+    assert not uncapped.truncated
+    for cap in [2.5 * k for k in range(1, 41)]:
+        capped = run(PAPER_S4, policy, RunConfig(seed=seed, target_completions=3000, warmup_time=0.0,
+                                                 max_simulated_time=cap))
+        assert list(capped.records) == [r for r in uncapped.records if r.completion_time <= cap]
+        assert capped.truncated
+        # the stream yields every arrival up to the cap, then one of class 0 at the cap
+        stream = list(chain.from_iterable(mgmprio.simulation._arrival_windows(PAPER_S4, seed, cap)))
+        assert stream[-1] == (cap, 0, 0.0)
+        arrivals = [t for t, _, _ in stream[:-1]]
+        assert arrivals == sorted(r.arrival_time for r in uncapped.records if r.arrival_time <= cap)
+        # the run's events are those arrivals and its logged completions, and it ends at the last;
+        # a displaced job's stale completion event is not one
+        assert capped.end_time == max(arrivals + [r.completion_time for r in capped.records]) <= cap
 
 
 def test_job_record_csv_dump():

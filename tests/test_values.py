@@ -56,8 +56,7 @@ VALUES = [
      "w=8.354218880534673e-05, v=0.20008354218880536, stable=True)"),
     (ClassMetrics.unstable, ("p", "u", "h", "g", "w", "v", "stable"),
      "ClassMetrics(p=None, u=None, h=None, g=None, w=None, v=None, stable=False)"),
-    (lambda: IdentityResiduals(1e-17, 0.0, -2.5e-16), ("waiting", "sojourn", "preemptions"),
-     "IdentityResiduals(waiting=1e-17, sojourn=0.0, preemptions=-2.5e-16)"),
+    (lambda: IdentityResiduals(-2.5e-16), ("preemptions",), "IdentityResiduals(preemptions=-2.5e-16)"),
     (lambda: Scenario(SystemModel(1, [ClassSpec(0.5, Deterministic(1.0))])), ("model",),
      "Scenario(model=SystemModel(servers=1, classes=(ClassSpec(arrival_rate=0.5, service=Deterministic(value=1.0)),)))"),
 ]
@@ -110,7 +109,7 @@ def test_values_of_different_types_differ():
     assert Exponential(1.0) != Deterministic(1.0)
     assert Erlang(1, 1.0) != Exponential(1.0)
     assert Uniform(0.0, 2.0) != Deterministic(1.0)
-    assert ClassMetrics.unstable() != IdentityResiduals(0.0, 0.0, 0.0)
+    assert ClassMetrics.unstable() != IdentityResiduals(0.0)
 
 
 def test_load_profile_compares_by_identity():
