@@ -10,7 +10,9 @@ Erlang C based approximation degrades.
 For each server count it prints:
 
 * `run`'s wall time per counted job, the best of `--repeat` runs of
-  `--jobs` counted jobs (LIFO, equal-class preemption, warm-up 20);
+  `--jobs` counted jobs (LIFO, equal-class preemption, warm-up 20),
+  timed as `replicate` calls it: with `keep_records=False`, so no per-job
+  rows are written;
 * the lowest class's mean wait `w` from `approx_metrics` and from
   `replicate` (`--reps` replications of `--rep-jobs` jobs, 95% CI), and
   `rel_err` = |analytic - simulated| / analytic as `compare` reports it,
@@ -49,7 +51,7 @@ def family(m: int) -> SystemModel:
 
 
 def us_per_job(model: SystemModel, jobs: int, repeat: int, seed: int) -> float:
-    cfg = RunConfig(seed=seed, target_completions=jobs, warmup_time=WARMUP)
+    cfg = RunConfig(seed=seed, target_completions=jobs, warmup_time=WARMUP, keep_records=False)
     best = math.inf
     for _ in range(repeat):
         started = time.perf_counter()

@@ -5,7 +5,10 @@ SeedSequence, so rep k of a given base seed is always the same workload;
 the first n of a larger replication set coincide with a smaller one.
 Interval estimates use Student-t quantiles at 95 percent on the
 replication means, which is the standard small-sample treatment for
-independent replications.
+independent replications.  Each replication runs with
+``RunConfig.keep_records`` off, as only the per-class sums of
+:func:`per_class_raw` are read: ``run`` writes no per-job rows, and those
+sums keep every bit that the rows would give.
 
 Replications run in lanes, one per CPU in the process's affinity mask
 (``os.sched_getaffinity``, so ``taskset`` limits them) and never more
@@ -121,10 +124,10 @@ def rep_seeds(base_seed: int, n_reps: int) -> tuple[int, ...]:
 
 
 def _run_reps(model: SystemModel, policy: PolicyConfig, base_cfg: RunConfig, seeds: tuple[int, ...]) -> list[tuple]:
-    """Each seed's ``(truncated, counted completions, per_class_raw)``, in seed order."""
+    """Each seed's ``(truncated, counted completions, per_class_raw)``, in seed order, from runs without rows."""
     reps = []
     for seed in seeds:
-        result = run(model, policy, replace(base_cfg, seed=seed))
+        result = run(model, policy, replace(base_cfg, seed=seed, keep_records=False))
         reps.append((result.truncated, result.counted_completions, per_class_raw(result.records, model)))
         del result  # free this rep's job log before the next rep builds its own
     return reps
@@ -207,7 +210,8 @@ def replicate(model: SystemModel, policy: PolicyConfig, base_cfg, n_reps: int) -
     """Run ``n_reps`` independent replications and aggregate the estimates.
 
     ``base_cfg`` is a RunConfig whose seed anchors the per-rep seeds
-    (:func:`rep_seeds`); any other type raises TypeError.
+    (:func:`rep_seeds`) and whose ``keep_records`` is not read, as every
+    rep runs without rows; any other type raises TypeError.
     """
     if not isinstance(base_cfg, RunConfig):
         raise TypeError(f"base_cfg must be a RunConfig, got {type(base_cfg).__name__}")

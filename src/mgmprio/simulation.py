@@ -59,19 +59,25 @@ the trace ending in a class-0 arrival at inf, and every job is counted;
 its times and services are taken as doubles.  Either way ``end_time`` is
 the time of the last event processed.
 
-Each counted job is logged on completion as one 40-byte packed row of the
-run's :class:`JobLog` (class index, arrival, service, first start and
-completion) plus its interruption intervals, kept only for a job that was
-preempted.  :func:`per_class_raw` reduces the rows through a zero-copy
-numpy view; :class:`JobRecord` objects are built only when the log is read.
+Each counted job adds, on completion, to three lists of its class in the
+run's :class:`JobLog`: its sojourn, its initial delay if that is > 0, and
+its interruption intervals if it was preempted.  :func:`per_class_raw`
+sums those lists with ``math.fsum``, which is correctly rounded and so
+independent of order; that is the only reduction.  With
+``RunConfig.keep_records`` (the default) and for every trace, each counted
+job is also logged as one 40-byte packed row (class index, arrival,
+service, first start and completion) beside its intervals, and
+:class:`JobRecord` objects are built from the rows only when the log is
+read.  :func:`replicate` runs without rows, as it reads only the sums.
 """
 
 import math
 import struct
+from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush, heapreplace
-from itertools import chain, compress
+from itertools import chain
 
 import numpy as np
 
@@ -104,8 +110,6 @@ _VICTIM_SCAN_MAX = 12
 
 # one counted job in a JobLog: class index, arrival, service, first start, completion
 _ROW = struct.Struct("<qdddd")
-_ROW_DTYPE = np.dtype([("cls", "<i8"), ("arrival", "<f8"), ("service", "<f8"),
-                       ("first_start", "<f8"), ("completion", "<f8")])
 
 
 @dataclass(frozen=True)
@@ -132,13 +136,17 @@ class RunConfig:
 
     Jobs arriving at or before ``warmup_time`` are simulated but not
     counted.  ``max_simulated_time`` is a safety cap, infinite by default;
-    hitting it flags the result truncated.
+    hitting it flags the result truncated.  ``keep_records`` (a bool)
+    keeps a row per counted job, so that the result's :class:`JobLog` can
+    be read job by job; without it the log holds only what
+    :func:`per_class_raw` reduces.
     """
 
     seed: int
     target_completions: int
     warmup_time: float = 100.0
     max_simulated_time: float = math.inf
+    keep_records: bool = True
 
     def __post_init__(self):
         require_count("seed", self.seed, 0)
@@ -146,6 +154,8 @@ class RunConfig:
         require_finite("warmup_time", self.warmup_time, zero_ok=True)
         if self.max_simulated_time != math.inf:
             require_finite("max_simulated_time", self.max_simulated_time)
+        if not isinstance(self.keep_records, bool):
+            raise ValueError(f"keep_records must be True or False, got {self.keep_records!r}")
 
 
 @dataclass(frozen=True)
@@ -181,26 +191,45 @@ class JobRecord:
 
 
 class JobLog(Sequence):
-    """The counted completed jobs of one run, in completion order, packed in rows.
+    """The counted completed jobs of one run, in completion order.
 
-    Each job is one 40-byte row of a single ``bytearray`` (class index,
-    arrival, service, first start and completion, as ``_ROW``), beside a
-    list of each job's interruption intervals (None for a job never
-    preempted).  A read-only sequence: indexing and iteration build each
-    job's :class:`JobRecord` on demand, and a slice gives a tuple of them.
-    Two logs are equal when every job's fields are.
+    For each class, indexed by class index (slot 0 stays empty), it holds
+    three lists: every counted job's sojourn, the initial delay of each job
+    first started after its arrival, and the interval list of each job
+    that was preempted.  :func:`per_class_raw` reduces those.  Beside rows
+    the sojourns and delays are ``array("d")``, 8 bytes a value.
+
+    A log with rows also holds each job as one 40-byte row of a single
+    ``bytearray`` (class index, arrival, service, first start and
+    completion, as ``_ROW``), beside a list of each job's interruption
+    intervals (None for a job never preempted).  It is then a read-only
+    sequence: indexing and iteration build each job's :class:`JobRecord`
+    on demand, and a slice gives a tuple of them.  A log without rows
+    answers ``len()`` alone; reading its jobs raises ValueError.  Two logs
+    are equal when they hold the same numbers.
     """
 
-    __slots__ = ("_rows", "_intervals")
+    __slots__ = ("_sojourns", "_delays", "_held", "_rows", "_intervals")
 
-    def __init__(self):
-        self._rows = bytearray()
-        self._intervals = []
+    def __init__(self, n_classes: int, keep_rows: bool):
+        # arrays keep a log with rows small; lists append faster
+        times = (lambda: array("d")) if keep_rows else list
+        self._sojourns = [times() for _ in range(n_classes + 1)]
+        self._delays = [times() for _ in range(n_classes + 1)]
+        self._held = [[] for _ in range(n_classes + 1)]
+        self._rows = bytearray() if keep_rows else None
+        self._intervals = [] if keep_rows else None
 
     def __len__(self):
-        return len(self._intervals)
+        return sum(map(len, self._sojourns))
+
+    def _require_rows(self):
+        if self._rows is None:
+            raise ValueError("this job log keeps no per-job rows: run with RunConfig(keep_records=True) "
+                             "to read its jobs")
 
     def __getitem__(self, key):
+        self._require_rows()
         if isinstance(key, slice):
             return tuple(map(self.__getitem__, range(*key.indices(len(self)))))
         # the list raises IndexError and takes negative indices
@@ -208,14 +237,18 @@ class JobLog(Sequence):
         return _record(_ROW.unpack_from(self._rows, _ROW.size * (key % len(self))), intervals)
 
     def __iter__(self):
+        self._require_rows()
         return map(_record, _ROW.iter_unpack(self._rows), self._intervals)
 
     def __eq__(self, other):
         if not isinstance(other, JobLog):
             return NotImplemented
-        # compared as numbers, not as bytes, so that 0.0 equals -0.0
-        return (self._intervals == other._intervals
-                and list(_ROW.iter_unpack(self._rows)) == list(_ROW.iter_unpack(other._rows)))
+        return self._numbers() == other._numbers()
+
+    def _numbers(self):
+        # rows compared as numbers, not as bytes, so that 0.0 equals -0.0
+        rows = None if self._rows is None else list(_ROW.iter_unpack(self._rows))
+        return self._sojourns, self._delays, self._held, rows, self._intervals
 
     def __repr__(self):
         return f"JobLog({len(self)} jobs)"
@@ -246,7 +279,7 @@ class RunResult:
 
     @property
     def counted_completions(self) -> int:
-        """How many jobs the run counted: one per row of ``records``."""
+        """How many jobs the run counted: the length of ``records``."""
         return len(self.records)
 
 
@@ -337,10 +370,14 @@ def run(model: SystemModel, policy: PolicyConfig, cfg) -> RunResult:
     scan = m <= _VICTIM_SCAN_MAX
     busy = None
     token = 0  # counts starts and pool insertions alike: only the order of its values is compared
-    log = JobLog()
-    log_row = log._rows.extend
-    log_intervals = log._intervals.append
-    pack_row = _ROW.pack
+    # a trace keeps its rows: it is run to be read job by job
+    keep = not isinstance(cfg, RunConfig) or cfg.keep_records
+    log = JobLog(n_classes, keep)
+    sojourns, delays, held = log._sojourns, log._delays, log._held
+    if keep:
+        log_row = log._rows.extend
+        log_intervals = log._intervals.append
+        pack_row = _ROW.pack
     counted_done = 0
     truncated = False
     now = 0.0
@@ -376,9 +413,19 @@ def run(model: SystemModel, policy: PolicyConfig, cfg) -> RunResult:
                 continue  # stale: that job was displaced, so nothing happens at t_done
             now = t_done
             job = key[4]
-            if job[_ARRIVAL] > warmup:
-                log_row(pack_row(job[_CLS], job[_ARRIVAL], job[_SERVICE], job[_FIRST_START], now))
-                log_intervals(job[_INTERVALS])
+            arrival = job[_ARRIVAL]
+            if arrival > warmup:
+                cls = job[_CLS]
+                sojourns[cls].append(now - arrival)
+                # the first start is > the arrival exactly when their difference is > 0
+                delay = job[_FIRST_START] - arrival
+                if delay > 0.0:
+                    delays[cls].append(delay)
+                if job[_INTERVALS] is not None:
+                    held[cls].append(job[_INTERVALS])
+                if keep:
+                    log_row(pack_row(cls, arrival, job[_SERVICE], job[_FIRST_START], now))
+                    log_intervals(job[_INTERVALS])
                 counted_done += 1
                 if counted_done >= target:
                     break
@@ -482,48 +529,36 @@ class RawClassStats:
 def per_class_raw(log: JobLog, model: SystemModel) -> dict[int, RawClassStats]:
     """Reduce a run's job log into the raw estimators, keyed by class index.
 
-    The log's rows are read through a zero-copy numpy view, and each class
-    is picked out by a mask on its class column.  Its sojourns, delays and
-    per-job interruption totals (each job's intervals summed with
-    ``math.fsum``) are then summed with ``math.fsum``, which is correctly
-    rounded.  Every class of the model gets an entry; one with no counted
-    jobs is ``RawClassStats(count=0)``.
+    Each class's sojourns and delays are summed with ``math.fsum``, and its
+    interruptions as each job's intervals summed with ``math.fsum``, then
+    those totals summed with ``math.fsum``.  As ``fsum`` is correctly
+    rounded, the sums do not depend on the order of the jobs, so they are
+    the same with and without the log's rows.  Every class of the model
+    gets an entry; one with no counted jobs is ``RawClassStats(count=0)``.
     """
-    n_classes = len(model.classes)
-    rows = np.frombuffer(log._rows, _ROW_DTYPE)
-    cls = rows["cls"]
-    sojourns = rows["completion"] - rows["arrival"]
-    delays = rows["first_start"] - rows["arrival"]
-    # only preempted jobs carry intervals: a job never preempted adds an
-    # exact zero, so leaving it out keeps the sums
-    held = list(filter(None, log._intervals))
-    held_cls = cls[np.fromiter(compress(range(len(cls)), log._intervals), np.intp, len(held))]
-    int_counts = np.fromiter(map(len, held), np.int64, len(held))
-    int_totals = np.fromiter(map(math.fsum, held), np.float64, len(held))
     out: dict[int, RawClassStats] = {}
-    for k in range(1, n_classes + 1):
-        mine = cls == k
-        n = int(np.count_nonzero(mine))
+    for k in range(1, len(model.classes) + 1):
+        # a class beyond the run's model counted no job
+        sojourns = log._sojourns[k] if k < len(log._sojourns) else ()
+        n = len(sojourns)
         if not n:
             out[k] = RawClassStats(count=0)
             continue
-        # first start > arrival exactly when their difference is > 0
-        delayed = delays[mine]
-        delayed = delayed[delayed > 0.0]
-        n_delayed = len(delayed)
-        delay_sum = math.fsum(delayed.tolist())
-        held_mine = held_cls == k
-        int_count = int(int_counts[held_mine].sum())
-        int_sum = math.fsum(int_totals[held_mine].tolist())
+        delays = log._delays[k]
+        delay_sum = math.fsum(delays)
+        # only preempted jobs carry intervals: a job never preempted adds an exact zero
+        held = log._held[k]
+        int_count = sum(map(len, held))
+        int_sum = math.fsum(map(math.fsum, held))
         out[k] = RawClassStats(
             count=n,
-            p=n_delayed / n,
-            u=delay_sum / n_delayed if n_delayed else None,
+            p=len(delays) / n,
+            u=delay_sum / len(delays) if delays else None,
             h=int_count / n,
             g=int_sum / int_count if int_count else None,
             # a job waits while delayed or interrupted, so one never held up adds an exact 0
             w=(delay_sum + int_sum) / n,
-            v=math.fsum(sojourns[mine].tolist()) / n,
+            v=math.fsum(sojourns) / n,
             interruption_count=int_count,
         )
     return out
@@ -534,6 +569,8 @@ JOB_RECORD_CSV_HEADER = "class,arrival,service,first_start,completion,preemption
 
 def write_job_records(records, file) -> None:
     """Dump job records as CSV, one row per counted job, full precision."""
+    # a job log without rows refuses here, before the header is written
+    records = iter(records)
     file.write(JOB_RECORD_CSV_HEADER + "\n")
     for r in records:
         file.write(

@@ -8,6 +8,7 @@ import re
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -557,13 +558,19 @@ def test_patched_replication_run_intercepts_replicate(monkeypatch):
     monkeypatch.setattr(mgmprio.replication, "run", counted)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     model = parse_scenario(Path(MD1_CFG).read_text(encoding="utf-8")).model
-    mgmprio.replicate(model, mgmprio.PolicyConfig(), mgmprio.RunConfig(seed=1, target_completions=50), 3)
+    base_cfg = mgmprio.RunConfig(seed=1, target_completions=50)
+    mgmprio.replicate(model, mgmprio.PolicyConfig(), base_cfg, 3)
     assert len(calls) == 3
+    first = list(calls)
     # with two lanes the calling process runs lane 0's reps, the first of three, and only those
     calls.clear()
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    mgmprio.replicate(model, mgmprio.PolicyConfig(), mgmprio.RunConfig(seed=1, target_completions=50), 3)
+    mgmprio.replicate(model, mgmprio.PolicyConfig(), base_cfg, 3)
     assert [cfg.seed for _, _, cfg in calls] == list(mgmprio.replication.rep_seeds(1, 3)[:1])
+    # replicate reads only the per-class reduction: no rep keeps rows, and nothing else changes
+    for _, _, cfg in first + calls:
+        assert cfg.keep_records is False
+        assert replace(cfg, seed=base_cfg.seed, keep_records=base_cfg.keep_records) == base_cfg
 
 
 @pytest.mark.skipif(shutil.which("mgmprio") is None, reason="no mgmprio executable on PATH")

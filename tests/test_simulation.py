@@ -5,6 +5,7 @@ import io
 import math
 import tracemalloc
 import warnings
+from dataclasses import replace
 from itertools import chain
 
 import pytest
@@ -161,6 +162,8 @@ def test_per_class_raw_flags_empty_class():
     assert stats[1].count == 1
     assert stats[2] == RawClassStats(count=0)
     assert stats[2].v is None and stats[2].interruption_count == 0
+    # a model with more classes than the run's gives them empty entries too
+    assert per_class_raw(run(M1, LIFO, TraceInput([(0.0, 1, 1.0)])).records, M1_TWO) == stats
 
 
 @pytest.mark.parametrize(
@@ -182,6 +185,52 @@ def test_per_class_raw_matches_record_reference(model, policy, cfg):
     result = run(model, policy, cfg)
     n = len(model.classes)
     assert per_class_raw(result.records, model) == reference_per_class_raw(list(result.records), n)
+
+
+# scenarios/md1_two_class.cfg
+MD1_TWO_CLASS = SystemModel(1, [ClassSpec(0.3, Deterministic(1.0)), ClassSpec(0.3, Deterministic(1.0))])
+
+
+@ALL_POLICIES
+@pytest.mark.parametrize(
+    "model",
+    [
+        PAPER_S4,
+        MD1_TWO_CLASS,
+        SystemModel(32, [ClassSpec(6.8, Exponential(1.0))] * 4),
+        SystemModel(16, [ClassSpec(5.0, Exponential(1.0))] * 4),
+    ],
+    ids=["s4", "md1-two-class", "m32", "m16-overloaded"],
+)
+@pytest.mark.parametrize("seed", [1, 7919])
+@pytest.mark.parametrize("cap", [math.inf, 37.5])
+@pytest.mark.parametrize("warmup", [10.0, 0.0])
+def test_keeping_records_changes_no_bit_of_the_reduction(model, policy, seed, cap, warmup):
+    cfg = RunConfig(seed=seed, target_completions=2000, warmup_time=warmup, max_simulated_time=cap)
+    kept = run(model, policy, cfg)
+    bare = run(model, policy, replace(cfg, keep_records=False))
+    # repr tells every bit of a float apart, -0.0 from 0.0 too
+    expected = repr(reference_per_class_raw(list(kept.records), len(model.classes)))
+    assert repr(per_class_raw(bare.records, model)) == repr(per_class_raw(kept.records, model)) == expected
+    assert (bare.truncated, repr(bare.end_time), bare.counted_completions) == \
+        (kept.truncated, repr(kept.end_time), kept.counted_completions)
+
+
+def test_job_log_without_rows_refuses_to_be_read():
+    cfg = RunConfig(seed=3, target_completions=5000, warmup_time=10.0, max_simulated_time=200.0, keep_records=False)
+    result = run(PAPER_S4, LIFO, cfg)
+    kept = run(PAPER_S4, LIFO, replace(cfg, keep_records=True))
+    assert result.truncated and 0 < result.counted_completions < 5000
+    assert len(result.records) == result.counted_completions == len(kept.records)
+    buf = io.StringIO()
+    reads = [lambda log: log[0], lambda log: log[-1], lambda log: log[2:5], iter, list,
+             lambda log: log.index(kept.records[0]), lambda log: write_job_records(log, buf)]
+    for read in reads:
+        with pytest.raises(ValueError, match="keep_records"):
+            read(result.records)
+    # the refusal comes before the CSV header
+    assert buf.getvalue() == ""
+    assert result.records != kept.records
 
 
 def test_within_class_order_lifo_vs_fifo():
@@ -353,6 +402,9 @@ def test_trace_validation():
         {"seed": 1.5},
         {"seed": -1},
         {"seed": True},
+        {"keep_records": 1},
+        {"keep_records": "no"},
+        {"keep_records": None},
     ],
     ids=repr,
 )
