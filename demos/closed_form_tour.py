@@ -60,7 +60,7 @@ def main():
     scenario = parse_scenario((SCENARIOS / "paper_s4.cfg").read_text())
     metrics = approx_metrics(scenario.model)
     show("Bundled four-class scenario, 3 servers, exponential means .2/.4/.6/.8", metrics)
-    worst = max(abs(r.preemptions) for r in check_identities(metrics, scenario.model))
+    worst = max(abs(r) for r in check_identities(metrics, scenario.model))
     print(f"  The preemption identity (h from the Erlang C values) holds to {worst:.2e}.")
     print("  No exact form applies here; see demos/formulas_vs_simulation.py")
     print("  for how close the approximation is to a simulated truth value.")

@@ -33,23 +33,16 @@ while every higher-priority class is unaffected (the discipline is
 preemptive, so lower classes are invisible to higher ones).
 """
 
-from __future__ import annotations
-
-import numbers
+import operator
 from itertools import accumulate
-from typing import TYPE_CHECKING
 
 from .distributions import Exponential, _Frozen, _setattr
 from .model import DomainError, SystemModel
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "METRIC_NAMES",
     "LoadProfile",
     "ClassMetrics",
-    "IdentityResiduals",
     "erlang_c",
     "loads",
     "approx_metrics",
@@ -75,16 +68,19 @@ def erlang_c(servers: int, load: float) -> float:
     Raises DomainError unless ``servers`` is an integer (not a bool) at
     least 1 and ``0 <= load < 1``.
     """
-    # numpy integers register as Integral; int comes first because the ABC
-    # check costs about 0.7 us, on a path that runs once per class; a bool
-    # is an int but no server count
-    if isinstance(servers, bool) or not (isinstance(servers, (int, numbers.Integral)) and servers >= 1):
+    # operator.index takes numpy integers too and refuses floats; a bool is
+    # an int but no server count
+    try:
+        count = operator.index(servers)
+    except TypeError:
+        count = 0
+    if count < 1 or isinstance(servers, bool):
         raise DomainError(f"server count must be a positive integer, got {servers!r}")
     if not 0.0 <= load < 1.0:
         raise DomainError(f"per-server load must lie in [0, 1), got {load!r}")
-    a = servers * load
+    a = count * load
     b = 1.0
-    for k in range(1, servers + 1):
+    for k in range(1, count + 1):
         ab = a * b
         b = ab / (k + ab)
     return b / (1.0 - load * (1.0 - b))
@@ -93,26 +89,21 @@ def erlang_c(servers: int, load: float) -> float:
 class LoadProfile(_Frozen):
     """Cumulative arrival rates and per-server loads by priority prefix.
 
-    Both arrays have length ``N + 1``; index i covers classes 1..i and
-    index 0 is the empty prefix (both entries zero).
+    Both tuples of floats have length ``N + 1``; index i covers classes
+    1..i and index 0 is the empty prefix (both entries zero).
     """
 
     __slots__ = ("cumulative_rate", "load")
-    # arrays have no single truth value to compare by, so equality is identity
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
 
-    def __init__(self, cumulative_rate: np.ndarray, load: np.ndarray):
+    def __init__(self, cumulative_rate: tuple[float, ...], load: tuple[float, ...]):
         _setattr(self, "cumulative_rate", cumulative_rate)
         _setattr(self, "load", load)
 
 
 def loads(model: SystemModel) -> LoadProfile:
     """Cumulative rates ``sum(lambda_j)`` and loads ``sum(lambda_j b_j) / m``."""
-    import numpy as np  # only this function needs numpy; the closed forms never do
-
     load, cum_rate, _, _ = _components(model)
-    return LoadProfile(cumulative_rate=np.array(cum_rate), load=np.array(load))
+    return LoadProfile(cumulative_rate=tuple(cum_rate), load=tuple(load))
 
 
 class ClassMetrics(_Frozen):
@@ -254,19 +245,8 @@ def exact_mmm_identical(model: SystemModel) -> list[ClassMetrics]:
     return out
 
 
-class IdentityResiduals(_Frozen):
-    """Residual of the preemption identity for one stable class."""
-
-    __slots__ = ("preemptions",)  # h - L_i * (c_i - c_{i-1}) / lambda_i
-
-    def __init__(self, preemptions: float):
-        _setattr(self, "preemptions", preemptions)
-
-
-def check_identities(
-    metrics: list[ClassMetrics], model: SystemModel
-) -> list[IdentityResiduals | None]:
-    """Residuals of the preemption identity, one entry per class.
+def check_identities(metrics: list[ClassMetrics], model: SystemModel) -> list[float | None]:
+    """Residuals ``h - L_i * (c_i - c_{i-1}) / lambda_i`` of the preemption identity, one per class.
 
     ``c_j`` in the identity is the all-servers-busy probability of the
     classes-1..j subsystem as each mode defines it: the prefix load itself
@@ -285,5 +265,5 @@ def check_identities(
             out.append(None)
             continue
         lam_i = model.classes[i - 1].arrival_rate
-        out.append(IdentityResiduals(mtr.h - cum_rate[i] * (c[i] - c[i - 1]) / lam_i))
+        out.append(mtr.h - cum_rate[i] * (c[i] - c[i - 1]) / lam_i)
     return out

@@ -27,13 +27,12 @@ slotted :class:`_Frozen` classes rather than dataclasses, whose import and
 generated methods would cost that side most of its import time.
 """
 
-from __future__ import annotations
-
 import math
 import re
 from itertools import accumulate
-from typing import TYPE_CHECKING
 
+# true for type checkers only, without loading ``typing``
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     import numpy as np
 
@@ -146,7 +145,7 @@ class ServiceDistribution:
         """Draw one variate, consuming uniforms from ``stream``."""
         return float(self.sample_block(stream, 1)[0])
 
-    def sample_block(self, stream, n: int) -> np.ndarray:
+    def sample_block(self, stream, n: int) -> "np.ndarray":
         """Draw ``n`` variates as a float64 array, as ``n`` calls of :meth:`sample` would.
 
         The package's laws override this; a law defined elsewhere may
@@ -166,7 +165,7 @@ class ServiceDistribution:
         return f"{self._spec[0]}({fields})"
 
 
-def _exponentials(uniforms: np.ndarray, rate) -> np.ndarray:
+def _exponentials(uniforms: "np.ndarray", rate) -> "np.ndarray":
     """Exponential variates of ``rate`` (a number or an array) by inverse transform."""
     import numpy as np
 
@@ -189,7 +188,7 @@ class Exponential(_Frozen, ServiceDistribution):
     def second_moment(self) -> float:
         return _quotient(2.0, self.rate * self.rate)
 
-    def sample_block(self, stream, n: int) -> np.ndarray:
+    def sample_block(self, stream, n: int) -> "np.ndarray":
         return _exponentials(stream.random(n), self.rate)
 
 
@@ -208,7 +207,7 @@ class Deterministic(_Frozen, ServiceDistribution):
     def second_moment(self) -> float:
         return self.value * self.value
 
-    def sample_block(self, stream, n: int) -> np.ndarray:
+    def sample_block(self, stream, n: int) -> "np.ndarray":
         import numpy as np
 
         # consumes no uniforms
@@ -234,7 +233,7 @@ class Erlang(_Frozen, ServiceDistribution):
     def second_moment(self) -> float:
         return _quotient(self.shape * (self.shape + 1), self.rate * self.rate)
 
-    def sample_block(self, stream, n: int) -> np.ndarray:
+    def sample_block(self, stream, n: int) -> "np.ndarray":
         import numpy as np
 
         # row j holds variate j's stages; summing column by column from zero
@@ -271,7 +270,7 @@ class HyperExponential(_Frozen, ServiceDistribution):
     def second_moment(self) -> float:
         return math.fsum(_quotient(p * 2.0, r * r) for p, r in self.branches)
 
-    def sample_block(self, stream, n: int) -> np.ndarray:
+    def sample_block(self, stream, n: int) -> "np.ndarray":
         import numpy as np
 
         # each variate takes a branch uniform, then its exponential's uniform
@@ -307,7 +306,7 @@ class Uniform(_Frozen, ServiceDistribution):
     def second_moment(self) -> float:
         return (self.lo * self.lo + self.lo * self.hi + self.hi * self.hi) / 3.0
 
-    def sample_block(self, stream, n: int) -> np.ndarray:
+    def sample_block(self, stream, n: int) -> "np.ndarray":
         return self.lo + (self.hi - self.lo) * stream.random(n)
 
 

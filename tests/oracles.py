@@ -7,6 +7,8 @@ Erlang quantities come from the direct factorial sum, waiting and
 sojourn times from their explicit closed forms, and every step is exact
 rational arithmetic on ``fractions.Fraction``.  Tests freeze values
 produced here and require the float implementation to reproduce them.
+:func:`kleinrock_preemptive_sojourns` gives the exact one-server sojourns
+that simulated strict preemption with first-come order must cover.
 
 It also keeps the record-by-record per-class reduction,
 :func:`reference_per_class_raw`, that the simulator's columnar
@@ -126,6 +128,29 @@ def exp_moments(service_rate: Rational) -> tuple[Fraction, Fraction]:
     """(mean, second moment) of an exponential service law."""
     r = Fraction(service_rate)
     return (1 / r, 2 / r**2)
+
+
+def kleinrock_preemptive_sojourns(classes) -> list[Fraction]:
+    """Mean sojourn of each class on one server under preemptive-resume priority.
+
+    Kleinrock's form, with ``s_i`` the load of classes 1..i:
+    ``T_i = b_i / (1 - s_{i-1}) + sum_{j<=i} lambda_j E[S_j^2] / (2 (1 - s_{i-1}) (1 - s_i))``.
+    It holds when a job is interrupted only by higher classes and each
+    class is served in arrival order.  ``classes`` holds ``(rate, mean,
+    second_moment)`` triples as in :func:`reference_metrics`, every
+    prefix stable.
+    """
+    lam, b1, b2, _ = _prefixes(classes)
+    out = []
+    above = moment_sum = Fraction(0)
+    for rate, mean, second in zip(lam, b1, b2):
+        load = above + rate * mean
+        moment_sum += rate * second
+        if load >= 1:
+            raise ValueError("the sojourn formula needs a fully stable model")
+        out.append(mean / (1 - above) + moment_sum / (2 * (1 - above) * (1 - load)))
+        above = load
+    return out
 
 
 def reference_per_class_raw(records, n_classes: int) -> dict[int, RawClassStats]:

@@ -124,7 +124,7 @@ def test_criterion_03_identity_residuals_below_1e12():
         for metrics in (approx_metrics(model), exact(model)):
             for res in check_identities(metrics, model):
                 assert res is not None
-                worst = max(worst, abs(res.preemptions))
+                worst = max(worst, abs(res))
     assert worst <= 1e-12
 
 

@@ -133,14 +133,14 @@ def test_loads_four_class_model():
     prof = loads(FOUR_CLASS_MODEL)
     expected_rates = [0.0, 1.0, 2.0, 3.0, 4.0]
     expected_loads = [0.0, 1 / 15, 1 / 5, 2 / 5, 2 / 3]
-    assert prof.cumulative_rate.tolist() == pytest.approx(expected_rates, rel=1e-12)
-    assert prof.load.tolist() == pytest.approx(expected_loads, rel=1e-12)
+    assert prof.cumulative_rate == pytest.approx(tuple(expected_rates), rel=1e-12)
+    assert prof.load == pytest.approx(tuple(expected_loads), rel=1e-12)
 
 
 def test_loads_single_class():
     prof = loads(SystemModel(1, [ClassSpec(1.0, Deterministic(0.5))]))
-    assert prof.cumulative_rate.tolist() == [0.0, 1.0]
-    assert prof.load.tolist() == [0.0, 0.5]
+    assert prof.cumulative_rate == (0.0, 1.0)
+    assert prof.load == (0.0, 0.5)
 
 
 def test_loads_strictly_increasing():
@@ -261,16 +261,16 @@ def test_reduction_to_identical_exponential_randomized():
 def test_identity_residuals_vanish(model, mode):
     metrics = mode(model)
     for res in check_identities(metrics, model):
-        assert abs(res.preemptions) <= 1e-12
+        assert abs(res) <= 1e-12
 
 
 def test_identity_residuals_on_randomized_models():
     for model in random_single_server_models(17, 5):
         for res in check_identities(exact_single_channel(model), model):
-            assert abs(res.preemptions) <= 1e-12
+            assert abs(res) <= 1e-12
     for model in random_identical_exponential_models(19, 5):
         for res in check_identities(exact_mmm_identical(model), model):
-            assert abs(res.preemptions) <= 1e-12
+            assert abs(res) <= 1e-12
 
 
 def test_sojourn_identity_exact_single_class():
@@ -310,7 +310,7 @@ def test_waiting_monotone_under_load_scaling():
 
 def test_unstable_suffix_is_flagged_not_fatal():
     model = SystemModel(1, [ClassSpec(0.5, Exponential(1.0)), ClassSpec(0.6, Exponential(1.0))])
-    for mode in (approx_metrics, exact_single_channel):
+    for mode in (approx_metrics, exact_single_channel, exact_mmm_identical):
         metrics = mode(model)
         assert metrics[0].stable
         assert metrics[0].w == pytest.approx(1.0, rel=1e-12)

@@ -291,10 +291,22 @@ def test_analytic_does_not_import_scipy_stats():
 def test_analytic_path_does_not_import_numpy():
     # numpy is most of a cold start; only simulating and variates need it
     analytic = ["analytic", "--config", MD1_CFG]
-    code = ("import sys, mgmprio, mgmprio.cli\n"
-            f"model = mgmprio.parse_scenario(open({MD1_CFG!r}).read()).model\n"
-            "mgmprio.check_identities(mgmprio.approx_metrics(model), model)\n"
-            "mgmprio.check_identities(mgmprio.exact_single_channel(model), model)\n"
+    code = ("import sys\n"
+            # the standard modules the package names, which a default start
+            # has loaded already; any other module is new
+            "import importlib, itertools, math, operator, re\n"
+            "before = set(sys.modules)\n"
+            "import mgmprio\n"
+            f"md1 = mgmprio.parse_scenario(open({MD1_CFG!r}).read()).model\n"
+            f"mm3 = mgmprio.parse_scenario(open({MM3_CFG!r}).read()).model\n"
+            "for mode, model in [(mgmprio.approx_metrics, md1), (mgmprio.exact_single_channel, md1),\n"
+            "                    (mgmprio.exact_mmm_identical, mm3)]:\n"
+            "    mgmprio.check_identities(mode(model), model)\n"
+            "mgmprio.loads(md1)\n"
+            "mgmprio.erlang_c(3, 0.5)\n"
+            "new = sorted(set(sys.modules) - before)\n"
+            "assert all(name.split('.')[0] == 'mgmprio' for name in new), new\n"
+            "import mgmprio.cli\n"
             f"assert mgmprio.cli.main({analytic!r}) == 0\n"
             f"assert mgmprio.cli.main({analytic + ['--format', 'csv']!r}) == 0\n"
             f"sys.argv = ['mgmprio', *{analytic!r}]\n"

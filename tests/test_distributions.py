@@ -209,6 +209,7 @@ def test_law_defining_no_sampling_path_refuses_to_sample():
         lambda: Erlang(True, 2.0),
         lambda: SystemModel(True, (ClassSpec(1.0, Exponential(1.0)),)),
         lambda: SystemModel(2, (ClassSpec(1.0, Erlang(True, 2.0)),)),
+        lambda: SystemModel(1, []),
     ],
 )
 def test_invalid_parameters_rejected(build):

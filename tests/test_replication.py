@@ -3,6 +3,7 @@
 import math
 import os
 from dataclasses import fields, replace
+from fractions import Fraction as F
 
 import pytest
 import scipy.stats as sps
@@ -22,12 +23,14 @@ from mgmprio import (
     approx_metrics,
     compare,
     exact_mmm_identical,
+    parse_distribution,
     per_class_raw,
     replicate,
     run,
 )
 from mgmprio import replication
 from mgmprio.replication import METRIC_NAMES, rep_seeds
+from oracles import kleinrock_preemptive_sojourns
 
 MM3 = SystemModel(3, [ClassSpec(1.0, Exponential(2.0)) for _ in range(3)])
 FOUR_CLASS = SystemModel(
@@ -162,6 +165,24 @@ def test_exact_oracle_covered_on_identical_exponential_model():
     assert all(row.covered is not False for row in rows)
     observed = [row for row in rows if row.covered is True]
     assert len(observed) == 17  # all class-metric pairs except the absent u of class 1
+
+
+def test_kleinrock_sojourn_reduces_to_pollaczek_khinchine():
+    rate, mean, second = F(3, 10), F(3, 2), F(7, 2)
+    load = rate * mean
+    assert kleinrock_preemptive_sojourns([(rate, mean, second)]) == [mean + rate * second / (2 * (1 - load))]
+
+
+@pytest.mark.parametrize("spec", ["det(1)", "erlang(2,2)", "hyperexp(0.887:1.774,0.113:0.226)"])
+def test_strict_fifo_preemption_covers_kleinrock_sojourn(spec):
+    law = parse_distribution(spec)
+    model = SystemModel(1, [ClassSpec(0.3, law), ClassSpec(0.3, law)])
+    policy = PolicyConfig(within_class_order="fifo", equal_class_preemption=False)
+    report = replicate(model, policy, RunConfig(seed=1, target_completions=20_000, warmup_time=100.0), 8)
+    exact = kleinrock_preemptive_sojourns([(F(0.3), F(law.mean()), F(law.second_moment()))] * 2)
+    for cls, truth in enumerate(exact, start=1):
+        v = report.classes[cls]["v"]
+        assert abs(v.estimate - truth) <= 4 * v.ci_half_width, (cls, v, float(truth))
 
 
 def test_compare_zero_deviation_when_report_echoes_analytic():

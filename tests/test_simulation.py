@@ -419,6 +419,16 @@ def test_trace_classes_must_fit_model():
         run(M1, LIFO, TraceInput([(0.0, 2, 1.0)]))
 
 
+def test_policy_rejects_unknown_within_class_order():
+    with pytest.raises(ValueError):
+        PolicyConfig(within_class_order="random")
+
+
+def test_run_rejects_a_config_of_another_type():
+    with pytest.raises(TypeError):
+        run(M1, LIFO, object())
+
+
 def test_class_one_never_preempted_when_strict():
     model = SystemModel(2, [ClassSpec(0.8, Exponential(2.0)), ClassSpec(0.8, Exponential(1.0))])
     result = run(model, STRICT, RunConfig(seed=3, target_completions=5000, warmup_time=10.0))

@@ -1,8 +1,8 @@
 """Value semantics of the closed-form side's immutable types.
 
-The laws, the model, the metrics and the scenario are compared, hashed,
-printed, pickled and copied by their fields; these tests pin that contract
-independently of how the types are built.
+The laws, the model, the metrics, the load profile and the scenario are
+compared, hashed, printed, pickled and copied by their fields; these tests
+pin that contract independently of how the types are built.
 """
 
 import copy
@@ -18,7 +18,7 @@ from mgmprio import (
     Erlang,
     Exponential,
     HyperExponential,
-    IdentityResiduals,
+    LoadProfile,
     Scenario,
     SystemModel,
     Uniform,
@@ -56,7 +56,9 @@ VALUES = [
      "w=8.354218880534673e-05, v=0.20008354218880536, stable=True)"),
     (ClassMetrics.unstable, ("p", "u", "h", "g", "w", "v", "stable"),
      "ClassMetrics(p=None, u=None, h=None, g=None, w=None, v=None, stable=False)"),
-    (lambda: IdentityResiduals(-2.5e-16), ("preemptions",), "IdentityResiduals(preemptions=-2.5e-16)"),
+    (lambda: loads(_s4().model), ("cumulative_rate", "load"),
+     "LoadProfile(cumulative_rate=(0.0, 1.0, 2.0, 3.0, 4.0), "
+     "load=(0.0, 0.06666666666666667, 0.20000000000000004, 0.4000000000000001, 0.6666666666666666))"),
     (lambda: Scenario(SystemModel(1, [ClassSpec(0.5, Deterministic(1.0))])), ("model",),
      "Scenario(model=SystemModel(servers=1, classes=(ClassSpec(arrival_rate=0.5, service=Deterministic(value=1.0)),)))"),
 ]
@@ -109,18 +111,4 @@ def test_values_of_different_types_differ():
     assert Exponential(1.0) != Deterministic(1.0)
     assert Erlang(1, 1.0) != Exponential(1.0)
     assert Uniform(0.0, 2.0) != Deterministic(1.0)
-    assert ClassMetrics.unstable() != IdentityResiduals(0.0)
-
-
-def test_load_profile_compares_by_identity():
-    model = _s4().model
-    a, b = loads(model), loads(model)
-    assert a == a and a != b
-    assert hash(a) == object.__hash__(a)
-    assert repr(a).startswith("LoadProfile(cumulative_rate=array([")
-    with pytest.raises(AttributeError):
-        a.load = b.load
-    for other in (pickle.loads(pickle.dumps(a)), copy.deepcopy(a)):
-        assert other != a
-        assert other.cumulative_rate.tolist() == a.cumulative_rate.tolist()
-        assert other.load.tolist() == a.load.tolist()
+    assert LoadProfile(1.0, Exponential(1.0)) != ClassSpec(1.0, Exponential(1.0))
