@@ -28,7 +28,6 @@ generated methods would cost that side most of its import time.
 """
 
 import math
-import re
 from itertools import accumulate
 
 # true for type checkers only, without loading ``typing``
@@ -310,9 +309,6 @@ class Uniform(_Frozen, ServiceDistribution):
         return self.lo + (self.hi - self.lo) * stream.random(n)
 
 
-_SPEC_RE = re.compile(r"([a-z]+)\((.*)\)\Z")
-
-
 def _number(kind: type, token: str, what: str):
     """``kind(token)``, or a ValueError naming ``what`` when ``token`` is no such number."""
     try:
@@ -331,10 +327,12 @@ def parse_distribution(text: str) -> ServiceDistribution:
     ``hyperexp(p1:r1,p2:r2,...)``, ``uniform(lo,hi)``.  Raises ValueError
     on any malformed spec or out-of-domain parameter.
     """
-    m = _SPEC_RE.match(text.strip())
-    if m is None:
+    # an ASCII lower-case name, then a body in parentheses on one line
+    name, paren, rest = text.strip().partition("(")
+    if not (paren and name.isascii() and name.isalpha() and name.islower()
+            and rest.endswith(")") and "\n" not in rest):
         raise ValueError(f"malformed distribution spec {text!r}")
-    name, body = m.group(1), m.group(2)
+    body = rest[:-1]
     args = [a.strip() for a in body.split(",")] if body.strip() else []
     law = _LAWS.get(name)
     if law is None:

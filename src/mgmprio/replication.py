@@ -12,10 +12,12 @@ sums keep every bit that the rows would give.
 
 Replications run in lanes, one per CPU in the process's affinity mask
 (``os.sched_getaffinity``, so ``taskset`` limits them) and never more
-than there are replications.  Lane 0 runs in the calling process; on
-Linux each other lane is an ``os.fork`` child that pipes back, per
-replication, only its truncation flag, counted completions and per-class
-raw estimators.  The results are put back in seed order before they are
+than there are replications.  Lane 0 runs in the calling process, and
+where the replications do not split evenly it is among the lanes given
+one more, as a forked lane starts later and runs slower.  On Linux each
+other lane is an ``os.fork`` child that pipes back, per replication,
+only its truncation flag, counted completions and per-class raw
+estimators.  The results are put back in seed order before they are
 aggregated, so every estimate, half-width and count is bit-identical for
 any lane count.  Where the platform lacks ``os.fork`` or
 ``os.sched_getaffinity`` there is one lane and no child.  Untested limit:
@@ -168,7 +170,8 @@ def _fork_lane(model: SystemModel, policy: PolicyConfig, base_cfg: RunConfig, se
 def _run_lanes(model: SystemModel, policy: PolicyConfig, base_cfg: RunConfig, seeds: tuple[int, ...]) -> list[tuple]:
     """:func:`_run_reps` over ``seeds``, split into contiguous lanes, one per usable CPU.
 
-    Lane 0 runs here, each other lane in a forked child.  A child's
+    Lane 0 runs here, each other lane in a forked child; where the seeds
+    do not split evenly, the lanes first in order take one more.  A child's
     exception is re-raised here; a child that sends no result raises
     RuntimeError.  Every child is reaped before this returns or raises,
     and on an error the ones still running are killed first.
@@ -176,7 +179,9 @@ def _run_lanes(model: SystemModel, policy: PolicyConfig, base_cfg: RunConfig, se
     lanes = 1
     if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
         lanes = min(len(seeds), len(os.sched_getaffinity(0)))
-    cuts = [len(seeds) * k // lanes for k in range(lanes + 1)]
+    # cut points rounded up: a forked lane starts late and pays copy-on-write faults, so lane 0,
+    # run here, takes the larger share
+    cuts = [-(-len(seeds) * k // lanes) for k in range(lanes + 1)]
     chunks = [seeds[a:b] for a, b in zip(cuts, cuts[1:])]
     children = []  # (pid, pipe, seeds) of the children not yet reaped, in lane order
     try:

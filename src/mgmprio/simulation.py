@@ -61,19 +61,24 @@ the time of the last event processed.
 
 Each counted job adds, on completion, to three lists of its class in the
 run's :class:`JobLog`: its sojourn, its initial delay if that is > 0, and
-its interruption intervals if it was preempted.  :func:`per_class_raw`
-sums those lists with ``math.fsum``, which is correctly rounded and so
-independent of order; that is the only reduction.  With
-``RunConfig.keep_records`` (the default) and for every trace, each counted
-job is also logged as one 40-byte packed row (class index, arrival,
-service, first start and completion) beside its intervals, and
-:class:`JobRecord` objects are built from the rows only when the log is
-read.  :func:`replicate` runs without rows, as it reads only the sums.
+its interruption intervals if it was preempted.  Between arrival windows,
+once those lists hold ``_FOLD_AT`` sojourns, the log folds them: it adds
+their lengths to per-class counts, replaces each list and the expansion
+it joins by an exact expansion of their sum (a short list of floats from
+repeated ``math.fsum``) and clears it, so a stochastic run's reduction
+state stays bounded whatever its job count.  :func:`per_class_raw` sums
+expansions and lists with ``math.fsum``, which is correctly rounded and
+so independent of order and of where folds fell; that is the only
+reduction.  With ``RunConfig.keep_records`` (the default) and for every
+trace, each counted job is also logged as one 40-byte packed row (class
+index, arrival, service, first start and completion) beside its
+intervals, and :class:`JobRecord` objects are built from the rows only
+when the log is read; those rows grow with the run by design.
+:func:`replicate` runs without rows, as it reads only the sums.
 """
 
 import math
 import struct
-from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush, heapreplace
@@ -107,6 +112,10 @@ _BLOCK = 1024
 # Measured per job of run: at 2 to 8 servers the heap costs 2-4% more than
 # the scan, at 12 the two are even, and at 32 the heap saves 7-8%
 _VICTIM_SCAN_MAX = 12
+
+# unfolded sojourns at which a JobLog's tail lists are folded, between arrival windows: folding
+# costs each value about two more fsum passes, so a run of a few thousand jobs never folds
+_FOLD_AT = 4096
 
 # one counted job in a JobLog: class index, arrival, service, first start, completion
 _ROW = struct.Struct("<qdddd")
@@ -194,10 +203,16 @@ class JobLog(Sequence):
     """The counted completed jobs of one run, in completion order.
 
     For each class, indexed by class index (slot 0 stays empty), it holds
-    three lists: every counted job's sojourn, the initial delay of each job
-    first started after its arrival, and the interval list of each job
-    that was preempted.  :func:`per_class_raw` reduces those.  Beside rows
-    the sojourns and delays are ``array("d")``, 8 bytes a value.
+    three counts: jobs, delayed jobs and interruptions.  Beside them sit
+    three expansions, short lists of floats whose exact sum is that of
+    every sojourn, every initial delay and every preempted job's summed
+    intervals folded so far.  ``run`` appends each counted job to three
+    tail lists of its class: its sojourn, its initial delay if the job was
+    first started after its arrival, and its interval list if it was
+    preempted.  Between arrival windows, once the tails hold ``_FOLD_AT``
+    sojourns, each tail is folded into the counts and expansions and
+    cleared, so a log without rows stays bounded whatever the job count.
+    :func:`per_class_raw` reduces expansions and tails together.
 
     A log with rows also holds each job as one 40-byte row of a single
     ``bytearray`` (class index, arrival, service, first start and
@@ -206,22 +221,45 @@ class JobLog(Sequence):
     sequence: indexing and iteration build each job's :class:`JobRecord`
     on demand, and a slice gives a tuple of them.  A log without rows
     answers ``len()`` alone; reading its jobs raises ValueError.  Two logs
-    are equal when they hold the same numbers.
+    are equal when they hold the same rows, counts and sums, wherever
+    their folds fell.
     """
 
-    __slots__ = ("_sojourns", "_delays", "_held", "_rows", "_intervals")
+    __slots__ = ("_counts", "_parts", "_sojourns", "_delays", "_held", "_rows", "_intervals")
 
     def __init__(self, n_classes: int, keep_rows: bool):
-        # arrays keep a log with rows small; lists append faster
-        times = (lambda: array("d")) if keep_rows else list
-        self._sojourns = [times() for _ in range(n_classes + 1)]
-        self._delays = [times() for _ in range(n_classes + 1)]
+        self._counts = [[0, 0, 0] for _ in range(n_classes + 1)]
+        self._parts = [([], [], []) for _ in range(n_classes + 1)]
+        self._sojourns = [[] for _ in range(n_classes + 1)]
+        self._delays = [[] for _ in range(n_classes + 1)]
         self._held = [[] for _ in range(n_classes + 1)]
         self._rows = bytearray() if keep_rows else None
         self._intervals = [] if keep_rows else None
 
     def __len__(self):
-        return sum(map(len, self._sojourns))
+        return sum(c[0] for c in self._counts) + sum(map(len, self._sojourns))
+
+    def _fold(self):
+        """Fold every class's tail lists into its counts and expansions, and clear them."""
+        for counts, parts, sojourns, delays, held in zip(
+                self._counts, self._parts, self._sojourns, self._delays, self._held):
+            counts[0] += len(sojourns)
+            counts[1] += len(delays)
+            counts[2] += sum(map(len, held))
+            held[:] = map(math.fsum, held)
+            for expansion, tail in zip(parts, (sojourns, delays, held)):
+                _fold_into(expansion, tail)
+
+    def _class_sums(self, k: int):
+        """Class ``k``'s jobs, delayed jobs and interruptions, then its sojourn, delay and interruption sums."""
+        jobs, delayed, interruptions = self._counts[k]
+        sojourn_parts, delay_parts, held_parts = self._parts[k]
+        held = self._held[k]
+        return (jobs + len(self._sojourns[k]), delayed + len(self._delays[k]),
+                interruptions + sum(map(len, held)),
+                math.fsum(chain(sojourn_parts, self._sojourns[k])), math.fsum(chain(delay_parts, self._delays[k])),
+                # a job's intervals are summed first, as in its JobRecord
+                math.fsum(chain(held_parts, map(math.fsum, held))))
 
     def _require_rows(self):
         if self._rows is None:
@@ -248,10 +286,27 @@ class JobLog(Sequence):
     def _numbers(self):
         # rows compared as numbers, not as bytes, so that 0.0 equals -0.0
         rows = None if self._rows is None else list(_ROW.iter_unpack(self._rows))
-        return self._sojourns, self._delays, self._held, rows, self._intervals
+        return list(map(self._class_sums, range(len(self._counts)))), rows, self._intervals
 
     def __repr__(self):
         return f"JobLog({len(self)} jobs)"
+
+
+def _fold_into(parts: list, tail: list) -> None:
+    """Make ``parts`` a short list of floats whose exact sum is that of ``parts`` and ``tail``; clear ``tail``.
+
+    ``math.fsum`` is correctly rounded, so each of its sums that joins
+    ``parts`` leaves a rest of less than half its last place, and an exact
+    rest of 0 is summed to 0 (Shewchuk's expansions, DCG 18, 1997).  The
+    values are a run's finite times, whose ``fsum`` is finite or raises
+    OverflowError.
+    """
+    tail += parts
+    parts.clear()
+    while s := math.fsum(tail):
+        parts.append(s)
+        tail.append(-s)
+    tail.clear()
 
 
 def _record(row, intervals) -> JobRecord:
@@ -346,6 +401,14 @@ def _arrival_windows(model: SystemModel, seed: int, cap: float):
     yield ((cap, 0, 0.0),)
 
 
+def _folding(log: JobLog, windows):
+    """Yield ``windows``, first folding ``log`` before each once its tails hold ``_FOLD_AT`` sojourns."""
+    for window in windows:
+        if sum(map(len, log._sojourns)) >= _FOLD_AT:
+            log._fold()
+        yield window
+
+
 def run(model: SystemModel, policy: PolicyConfig, cfg) -> RunResult:
     """Simulate one run; ``cfg`` is a RunConfig or a TraceInput."""
     if not isinstance(cfg, (RunConfig, TraceInput)):
@@ -390,7 +453,7 @@ def run(model: SystemModel, policy: PolicyConfig, cfg) -> RunResult:
             if spec.arrival_rate * span >= 2**53:
                 raise ValueError(f"class {k} arrival rate {spec.arrival_rate!r} times {span!r}, the lesser of "
                                  f"warm-up and time cap, reaches 2**53: the clock cannot resolve its arrival gaps")
-        arrivals = chain.from_iterable(_arrival_windows(model, cfg.seed, cfg.max_simulated_time))
+        arrivals = chain.from_iterable(_folding(log, _arrival_windows(model, cfg.seed, cfg.max_simulated_time)))
         warmup = cfg.warmup_time
         target = cfg.target_completions
     else:
@@ -531,34 +594,30 @@ def per_class_raw(log: JobLog, model: SystemModel) -> dict[int, RawClassStats]:
 
     Each class's sojourns and delays are summed with ``math.fsum``, and its
     interruptions as each job's intervals summed with ``math.fsum``, then
-    those totals summed with ``math.fsum``.  As ``fsum`` is correctly
-    rounded, the sums do not depend on the order of the jobs, so they are
-    the same with and without the log's rows.  Every class of the model
-    gets an entry; one with no counted jobs is ``RawClassStats(count=0)``.
+    those totals summed with ``math.fsum``.  A folded part of the log
+    enters each sum as its exact expansion.  As ``fsum`` is correctly
+    rounded, the sums do not depend on the order of the jobs or on where
+    the log was folded, so they are the same with and without the log's
+    rows.  Every class of the model gets an entry; one with no counted
+    jobs is ``RawClassStats(count=0)``.
     """
     out: dict[int, RawClassStats] = {}
     for k in range(1, len(model.classes) + 1):
         # a class beyond the run's model counted no job
-        sojourns = log._sojourns[k] if k < len(log._sojourns) else ()
-        n = len(sojourns)
+        n, delayed, int_count, sojourn_sum, delay_sum, int_sum = \
+            log._class_sums(k) if k < len(log._counts) else (0,) * 6
         if not n:
             out[k] = RawClassStats(count=0)
             continue
-        delays = log._delays[k]
-        delay_sum = math.fsum(delays)
-        # only preempted jobs carry intervals: a job never preempted adds an exact zero
-        held = log._held[k]
-        int_count = sum(map(len, held))
-        int_sum = math.fsum(map(math.fsum, held))
         out[k] = RawClassStats(
             count=n,
-            p=len(delays) / n,
-            u=delay_sum / len(delays) if delays else None,
+            p=delayed / n,
+            u=delay_sum / delayed if delayed else None,
             h=int_count / n,
             g=int_sum / int_count if int_count else None,
             # a job waits while delayed or interrupted, so one never held up adds an exact 0
             w=(delay_sum + int_sum) / n,
-            v=math.fsum(sojourns) / n,
+            v=sojourn_sum / n,
             interruption_count=int_count,
         )
     return out

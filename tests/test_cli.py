@@ -294,7 +294,7 @@ def test_analytic_path_does_not_import_numpy():
     code = ("import sys\n"
             # the standard modules the package names, which a default start
             # has loaded already; any other module is new
-            "import importlib, itertools, math, operator, re\n"
+            "import importlib, itertools, math, operator\n"
             "before = set(sys.modules)\n"
             "import mgmprio\n"
             f"md1 = mgmprio.parse_scenario(open({MD1_CFG!r}).read()).model\n"
@@ -331,6 +331,19 @@ def test_analytic_path_does_not_import_numpy():
     assert not [name for name in imported if name.split(".")[0] == "numpy"]
     # dataclasses loads inspect, ast, dis and tokenize, which cost more than the package itself
     assert "dataclasses" not in imported and "inspect" not in imported
+
+
+def test_import_and_scenario_parsing_never_load_re():
+    # -I -S starts without site and .pth files, which load re in a default start
+    package_root = Path(mgmprio.__file__).resolve().parent.parent
+    code = ("import sys\n"
+            f"sys.path.insert(0, {str(package_root)!r})\n"
+            "import mgmprio\n"
+            f"for path in {[MD1_CFG, MM3_CFG, PAPER_S4_CFG]!r}:\n"
+            "    mgmprio.parse_scenario(open(path).read())\n"
+            "assert 're' not in sys.modules, sorted(sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_help_exits_zero(capsys):
@@ -574,11 +587,11 @@ def test_patched_replication_run_intercepts_replicate(monkeypatch):
     mgmprio.replicate(model, mgmprio.PolicyConfig(), base_cfg, 3)
     assert len(calls) == 3
     first = list(calls)
-    # with two lanes the calling process runs lane 0's reps, the first of three, and only those
+    # with two lanes the calling process runs lane 0's reps, the first two of three, and only those
     calls.clear()
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     mgmprio.replicate(model, mgmprio.PolicyConfig(), base_cfg, 3)
-    assert [cfg.seed for _, _, cfg in calls] == list(mgmprio.replication.rep_seeds(1, 3)[:1])
+    assert [cfg.seed for _, _, cfg in calls] == list(mgmprio.replication.rep_seeds(1, 3)[:2])
     # replicate reads only the per-class reduction: no rep keeps rows, and nothing else changes
     for _, _, cfg in first + calls:
         assert cfg.keep_records is False

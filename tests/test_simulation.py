@@ -16,7 +16,9 @@ import mgmprio.simulation
 from mgmprio import (
     ClassSpec,
     Deterministic,
+    Erlang,
     Exponential,
+    HyperExponential,
     JOB_RECORD_CSV_HEADER,
     PolicyConfig,
     RawClassStats,
@@ -214,6 +216,43 @@ def test_keeping_records_changes_no_bit_of_the_reduction(model, policy, seed, ca
     assert repr(per_class_raw(bare.records, model)) == repr(per_class_raw(kept.records, model)) == expected
     assert (bare.truncated, repr(bare.end_time), bare.counted_completions) == \
         (kept.truncated, repr(kept.end_time), kept.counted_completions)
+
+
+@ALL_POLICIES
+@pytest.mark.parametrize(
+    "model",
+    [
+        PAPER_S4,
+        MD1_TWO_CLASS,
+        SystemModel(32, [ClassSpec(6.8, Exponential(1.0))] * 4),
+        SystemModel(16, [ClassSpec(5.0, Exponential(1.0))] * 4),
+        SystemModel(2, [ClassSpec(0.5, HyperExponential(((0.9, 2.0), (0.1, 0.2)))),
+                        ClassSpec(0.4, Erlang(3, 3.0)), ClassSpec(0.3, Deterministic(0.8))]),
+    ],
+    ids=["s4", "md1-two-class", "m32", "m16-overloaded", "h2-erlang-det"],
+)
+@pytest.mark.parametrize("seed", [1, 7919])
+@pytest.mark.parametrize("cap", [math.inf, 37.5])
+@pytest.mark.parametrize("keep_records", [True, False], ids=["rows", "rowless"])
+def test_folding_the_log_is_not_observable(model, policy, seed, cap, keep_records, monkeypatch):
+    cfg = RunConfig(seed=seed, target_completions=3000, warmup_time=10.0, max_simulated_time=cap,
+                    keep_records=keep_records)
+    # blocks of 128 jobs end a window every few hundred arrivals; a block's size is not observable
+    monkeypatch.setattr(mgmprio.simulation, "_BLOCK", 128)
+    monkeypatch.setattr(mgmprio.simulation, "_FOLD_AT", math.inf)
+    unfolded = run(model, policy, cfg)
+    # a fold before every window that follows a counted completion
+    monkeypatch.setattr(mgmprio.simulation, "_FOLD_AT", 1)
+    folded = run(model, policy, cfg)
+    assert sum(counts[0] for counts in folded.records._counts) > 0
+    assert sum(counts[0] for counts in unfolded.records._counts) == 0
+    # repr tells every bit of a float apart
+    assert repr(per_class_raw(folded.records, model)) == repr(per_class_raw(unfolded.records, model))
+    assert (len(folded.records), folded.truncated, repr(folded.end_time)) == \
+        (len(unfolded.records), unfolded.truncated, repr(unfolded.end_time))
+    assert folded.records == unfolded.records
+    if keep_records:
+        assert list(folded.records) == list(unfolded.records)
 
 
 def test_job_log_without_rows_refuses_to_be_read():
@@ -517,10 +556,15 @@ class _ShiftedExponential(ServiceDistribution):
 )
 def test_block_size_is_not_observable(model, policy, monkeypatch):
     cfg = RunConfig(seed=31, target_completions=3000, warmup_time=20.0)
-    default = run(model, policy, cfg)
-    for block in (1, 3):
-        monkeypatch.setattr(mgmprio.simulation, "_BLOCK", block)
-        assert run(model, policy, cfg).records == default.records
+    default_block = mgmprio.simulation._BLOCK
+    # 3000 jobs never fold at the default _FOLD_AT; at the others, blocks of another size move the folds
+    for fold_at in (mgmprio.simulation._FOLD_AT, 1, 700):
+        monkeypatch.setattr(mgmprio.simulation, "_FOLD_AT", fold_at)
+        monkeypatch.setattr(mgmprio.simulation, "_BLOCK", default_block)
+        default = run(model, policy, cfg)
+        for block in (1, 3):
+            monkeypatch.setattr(mgmprio.simulation, "_BLOCK", block)
+            assert run(model, policy, cfg).records == default.records
 
 
 @ALL_POLICIES
@@ -633,16 +677,28 @@ def test_integer_trace_gives_float_records():
     )
 
 
-def test_run_result_holds_at_most_100_bytes_per_counted_job():
+def held_by_run(cfg):
+    """The result of ``run(PAPER_S4, LIFO, cfg)`` and the bytes it holds by tracemalloc."""
     # a first run imports numpy.random, which would count as held
     run(PAPER_S4, LIFO, RunConfig(seed=2, target_completions=100, warmup_time=20.0))
-    cfg = RunConfig(seed=1, target_completions=10_000, warmup_time=20.0)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         result = run(PAPER_S4, LIFO, cfg)
-        held = tracemalloc.get_traced_memory()[0] - before
+        return result, tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
+
+
+def test_run_result_holds_at_most_100_bytes_per_counted_job():
+    result, held = held_by_run(RunConfig(seed=1, target_completions=10_000, warmup_time=20.0))
     assert result.counted_completions == 10_000
     assert held / result.counted_completions <= 100
+
+
+@pytest.mark.parametrize("jobs", [20_000, 80_000])
+def test_rowless_run_result_holds_bounded_memory(jobs):
+    result, held = held_by_run(RunConfig(seed=1, target_completions=jobs, warmup_time=20.0, keep_records=False))
+    assert result.counted_completions == jobs
+    # the log folds its lists between arrival windows, so what it holds does not grow with the jobs
+    assert held <= 500_000
