@@ -10,8 +10,8 @@ Scheduling semantics, in full:
   Both are drawn ahead in blocks of ``_BLOCK`` jobs; since every stream
   feeds one class and one purpose in order, the block size is not
   observable.  All classes' drawn arrivals are merged into one stream in
-  time order, so the event heap holds only completions: the run loops over
-  the arrivals and, before each, drains the completions due by its time.
+  time order, window by window, so the event heap holds only completions:
+  before each arrival, the run drains the completions due by its time.
   Each job's state is a plain list record.  Each busy server holds one
   key, ``(-class, arrival, server, token, job)``, the token being that of
   the job's start, and each completion event carries the key it was
@@ -47,33 +47,34 @@ Scheduling semantics, in full:
 * No server idles while the pool is nonempty (checked after every event).
 
 With a :class:`RunConfig`, only jobs arriving strictly after
-``warmup_time`` are counted and the run stops once ``target_completions``
-counted jobs have finished; jobs still in flight are dropped from the
-statistics.  The time cap lives in the arrival stream alone: it yields no
-arrival past ``max_simulated_time`` and none at t = inf (as a subnormal
+``warmup_time`` are counted and the run returns at the completion of the
+``target_completions``-th counted job; jobs still in flight are dropped from
+the statistics.  The time cap lives in the arrival stream alone: it yields
+no arrival past ``max_simulated_time`` and none at t = inf (as a subnormal
 arrival rate gives), and ends in one arrival of class 0 at the cap, inf
-when uncapped.  Reaching that arrival is the one early stop: the cap came
-first, or no class arrives any more, and the result is flagged truncated.
-With a :class:`TraceInput`, the scripted arrivals are run to completion,
-the trace ending in a class-0 arrival at inf, and every job is counted;
-its times and services are taken as doubles.  Either way ``end_time`` is
-the time of the last event processed.
+when uncapped.  That arrival ends the run, its one early stop: the cap
+came first, or no class arrives any more, and the result is flagged
+truncated.  With a :class:`TraceInput`, the scripted arrivals form one
+window, run to completion, the trace ending in a class-0 arrival at inf,
+and every job is counted; its times and services are taken as doubles.
+Either way ``end_time`` is the time of the last event processed.
 
 Each counted job adds, on completion, to three lists of its class in the
 run's :class:`JobLog`: its sojourn, its initial delay if that is > 0, and
-its interruption intervals if it was preempted.  Between arrival windows,
-once those lists hold ``_FOLD_AT`` sojourns, the log folds them: it adds
-their lengths to per-class counts, replaces each list and the expansion
-it joins by an exact expansion of their sum (a short list of floats from
-repeated ``math.fsum``) and clears it, so a stochastic run's reduction
-state stays bounded whatever its job count.  :func:`per_class_raw` sums
-expansions and lists with ``math.fsum``, which is correctly rounded and
-so independent of order and of where folds fell; that is the only
-reduction.  With ``RunConfig.keep_records`` (the default) and for every
-trace, each counted job is also logged as one 40-byte packed row (class
-index, arrival, service, first start and completion) beside its
-intervals, and :class:`JobRecord` objects are built from the rows only
-when the log is read; those rows grow with the run by design.
+its interruption intervals if it was preempted.  Before each arrival
+window, once those lists hold ``_FOLD_AT`` sojourns, the run folds the
+log: it adds their lengths to per-class counts, replaces each list and
+the expansion it joins by an exact expansion of their sum (a short list
+of floats from repeated ``math.fsum``) and clears it, so a stochastic
+run's reduction state stays bounded whatever its job count; a trace, one
+window, never folds.  :func:`per_class_raw` sums expansions and lists
+with ``math.fsum``, which is correctly rounded and so independent of
+order and of where folds fell; that is the only reduction.  With
+``RunConfig.keep_records`` (the default) and for every trace, each
+counted job is also logged as one 40-byte packed row (class index,
+arrival, service, first start and completion) beside its intervals, and
+:class:`JobRecord` objects are built from the rows only when the log is
+read; those rows grow with the run by design.
 :func:`replicate` runs without rows, as it reads only the sums.
 """
 
@@ -209,9 +210,9 @@ class JobLog(Sequence):
     intervals folded so far.  ``run`` appends each counted job to three
     tail lists of its class: its sojourn, its initial delay if the job was
     first started after its arrival, and its interval list if it was
-    preempted.  Between arrival windows, once the tails hold ``_FOLD_AT``
-    sojourns, each tail is folded into the counts and expansions and
-    cleared, so a log without rows stays bounded whatever the job count.
+    preempted.  Before each arrival window, once the tails hold ``_FOLD_AT``
+    sojourns, ``run`` folds them into the counts and expansions, so a
+    rowless stochastic log stays bounded; a trace, one window, never folds.
     :func:`per_class_raw` reduces expansions and tails together.
 
     A log with rows also holds each job as one 40-byte row of a single
@@ -364,7 +365,8 @@ def _arrival_windows(model: SystemModel, seed: int, cap: float):
     classes, or at ``cap`` if that is less, so every arrival up to it is
     known, and takes those arrivals in time order, equal times in class
     order.  No arrival at t = inf is yielded: the stream ends in one
-    arrival of class 0 at ``cap``, inf when uncapped.
+    arrival of class 0 at ``cap``, inf when uncapped, as a window of its
+    own.  ``run`` folds its log between windows and stops at that arrival.
     """
     n_classes = len(model.classes)
     streams = substreams(seed, 2 * n_classes)
@@ -401,14 +403,6 @@ def _arrival_windows(model: SystemModel, seed: int, cap: float):
     yield ((cap, 0, 0.0),)
 
 
-def _folding(log: JobLog, windows):
-    """Yield ``windows``, first folding ``log`` before each once its tails hold ``_FOLD_AT`` sojourns."""
-    for window in windows:
-        if sum(map(len, log._sojourns)) >= _FOLD_AT:
-            log._fold()
-        yield window
-
-
 def run(model: SystemModel, policy: PolicyConfig, cfg) -> RunResult:
     """Simulate one run; ``cfg`` is a RunConfig or a TraceInput."""
     if not isinstance(cfg, (RunConfig, TraceInput)):
@@ -442,7 +436,6 @@ def run(model: SystemModel, policy: PolicyConfig, cfg) -> RunResult:
         log_intervals = log._intervals.append
         pack_row = _ROW.pack
     counted_done = 0
-    truncated = False
     now = 0.0
 
     if isinstance(cfg, RunConfig):
@@ -453,72 +446,72 @@ def run(model: SystemModel, policy: PolicyConfig, cfg) -> RunResult:
             if spec.arrival_rate * span >= 2**53:
                 raise ValueError(f"class {k} arrival rate {spec.arrival_rate!r} times {span!r}, the lesser of "
                                  f"warm-up and time cap, reaches 2**53: the clock cannot resolve its arrival gaps")
-        arrivals = chain.from_iterable(_folding(log, _arrival_windows(model, cfg.seed, cfg.max_simulated_time)))
+        windows = _arrival_windows(model, cfg.seed, cfg.max_simulated_time)
         warmup = cfg.warmup_time
         target = cfg.target_completions
     else:
         for seq, (t, cls, service) in enumerate(cfg.arrivals):
             if cls > n_classes:
                 raise ValueError(f"trace entry {seq} names class {cls}, model has {n_classes}")
-        # the clock runs on doubles, as the log stores them; like the stochastic stream, the trace
-        # ends in an arrival of class 0, at inf
-        arrivals = chain([(float(t), cls, float(service)) for t, cls, service in cfg.arrivals],
-                         [(math.inf, 0, 0.0)])
+        # the clock runs on doubles, as the log stores them.  A trace is one window, so its log never
+        # folds, and like the stochastic stream it ends in an arrival of class 0, at inf
+        windows = [[(float(t), cls, float(service)) for t, cls, service in cfg.arrivals] + [(math.inf, 0, 0.0)]]
         warmup = -math.inf
         target = math.inf
 
-    for t_next, cls_next, service_next in arrivals:
-        # a completion goes before an arrival at the same time
-        while events and events[0][0] <= t_next:
-            t_done, _, key = heappop(events)
-            sidx = key[2]
-            if server_key[sidx] is not key:
-                continue  # stale: that job was displaced, so nothing happens at t_done
-            now = t_done
-            job = key[4]
-            arrival = job[_ARRIVAL]
-            if arrival > warmup:
-                cls = job[_CLS]
-                sojourns[cls].append(now - arrival)
-                # the first start is > the arrival exactly when their difference is > 0
-                delay = job[_FIRST_START] - arrival
-                if delay > 0.0:
-                    delays[cls].append(delay)
-                if job[_INTERVALS] is not None:
-                    held[cls].append(job[_INTERVALS])
-                if keep:
-                    log_row(pack_row(cls, arrival, job[_SERVICE], job[_FIRST_START], now))
-                    log_intervals(job[_INTERVALS])
-                counted_done += 1
-                if counted_done >= target:
-                    break
-            if pool:
-                job = heappop(pool)[3]
-                if job[_FIRST_START] is None:
-                    job[_FIRST_START] = now
-                elif job[_INTERVALS] is None:
-                    job[_INTERVALS] = [now - job[_SINCE]]
+    for window in windows:
+        if sum(map(len, sojourns)) >= _FOLD_AT:
+            log._fold()
+        for t_next, cls_next, service_next in window:
+            # a completion goes before an arrival at the same time
+            while events and events[0][0] <= t_next:
+                t_done, _, key = heappop(events)
+                sidx = key[2]
+                if server_key[sidx] is not key:
+                    continue  # stale: that job was displaced, so nothing happens at t_done
+                now = t_done
+                job = key[4]
+                arrival = job[_ARRIVAL]
+                if arrival > warmup:
+                    cls = job[_CLS]
+                    sojourns[cls].append(now - arrival)
+                    # the first start is > the arrival exactly when their difference is > 0
+                    delay = job[_FIRST_START] - arrival
+                    if delay > 0.0:
+                        delays[cls].append(delay)
+                    if job[_INTERVALS] is not None:
+                        held[cls].append(job[_INTERVALS])
+                    if keep:
+                        log_row(pack_row(cls, arrival, job[_SERVICE], job[_FIRST_START], now))
+                        log_intervals(job[_INTERVALS])
+                    counted_done += 1
+                    if counted_done >= target:
+                        return RunResult(records=log, truncated=False, end_time=now)
+                if pool:
+                    job = heappop(pool)[3]
+                    if job[_FIRST_START] is None:
+                        job[_FIRST_START] = now
+                    elif job[_INTERVALS] is None:
+                        job[_INTERVALS] = [now - job[_SINCE]]
+                    else:
+                        job[_INTERVALS].append(now - job[_SINCE])
+                    job[_SINCE] = now
+                    token += 1
+                    key = server_key[sidx] = (-job[_CLS], job[_ARRIVAL], sidx, token, job)
+                    heappush(events, (now + job[_REMAINING], token, key))
+                    # a heap at 2m keys is dropped, to be built afresh at the next lookup, so that
+                    # stale keys neither pile up nor keep finished jobs alive
+                    if busy is not None and len(busy) < 2 * m:
+                        heappush(busy, key)
+                    else:
+                        busy = None
                 else:
-                    job[_INTERVALS].append(now - job[_SINCE])
-                job[_SINCE] = now
-                token += 1
-                key = server_key[sidx] = (-job[_CLS], job[_ARRIVAL], sidx, token, job)
-                heappush(events, (now + job[_REMAINING], token, key))
-                # a heap at 2m keys is dropped, to be built afresh at the next lookup, so that
-                # stale keys neither pile up nor keep finished jobs alive
-                if busy is not None and len(busy) < 2 * m:
-                    heappush(busy, key)
-                else:
+                    heappush(idle, sidx)
                     busy = None
-            else:
-                heappush(idle, sidx)
-                busy = None
-            if pool and idle:
-                raise RuntimeError("work conservation violated: idle server with waiting jobs")
-        else:
+                if pool and idle:
+                    raise RuntimeError("work conservation violated: idle server with waiting jobs")
             if not cls_next:
                 # the stream is over: the time cap, the end of the trace, or no class arrives any more
-                truncated = target != math.inf
                 break
             now = t_next
             job = [cls_next, now, service_next, service_next, now, now, None]
@@ -559,11 +552,9 @@ def run(model: SystemModel, policy: PolicyConfig, cfg) -> RunResult:
                 heapreplace(busy, key)
             if pool and idle:
                 raise RuntimeError("work conservation violated: idle server with waiting jobs")
-            continue
-        # the target was reached
-        break
 
-    return RunResult(records=log, truncated=truncated, end_time=now)
+    # the stream is over; a run to a target was cut short
+    return RunResult(records=log, truncated=target != math.inf, end_time=now)
 
 
 @dataclass(frozen=True)

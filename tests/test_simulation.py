@@ -3,12 +3,14 @@
 import heapq
 import io
 import math
+import statistics
 import tracemalloc
 import warnings
 from dataclasses import replace
 from itertools import chain
 
 import pytest
+import scipy.stats as sps
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,6 +32,7 @@ from mgmprio import (
     run,
     write_job_records,
 )
+from mgmprio.replication import rep_seeds
 from oracles import reference_lifo_trace, reference_per_class_raw, reference_policy_jobs, reference_policy_trace
 
 M1 = SystemModel(1, [ClassSpec(1.0, Exponential(1.0))])
@@ -253,6 +256,19 @@ def test_folding_the_log_is_not_observable(model, policy, seed, cap, keep_record
     assert folded.records == unfolded.records
     if keep_records:
         assert list(folded.records) == list(unfolded.records)
+
+
+def test_a_trace_is_one_window_and_never_folds(monkeypatch):
+    # a few hundred paper_s4 arrivals, without the stream's closing class-0 arrival
+    trace = TraceInput(list(chain.from_iterable(mgmprio.simulation._arrival_windows(PAPER_S4, 3, 75.0)))[:-1])
+    assert len(trace.arrivals) >= 200
+    default = run(PAPER_S4, LIFO, trace)
+    monkeypatch.setattr(mgmprio.simulation, "_FOLD_AT", 1)
+    unfolded = run(PAPER_S4, LIFO, trace)
+    assert sum(counts[0] for counts in unfolded.records._counts) == 0
+    assert len(unfolded.records) == len(trace.arrivals)
+    assert list(unfolded.records) == list(default.records)
+    assert repr(per_class_raw(unfolded.records, PAPER_S4)) == repr(per_class_raw(default.records, PAPER_S4))
 
 
 def test_job_log_without_rows_refuses_to_be_read():
@@ -593,6 +609,33 @@ def test_victim_index_is_not_observable(model, min_heapified, policy, monkeypatc
     assert indexed.end_time == scanned.end_time
     # every index is built from all the servers' keys
     assert len(heapified) >= min_heapified and set(heapified) == {model.servers}
+
+
+@pytest.mark.parametrize(
+    "model",
+    # 16 servers is above _VICTIM_SCAN_MAX, so the victim heap runs
+    [PAPER_S4, SystemModel(16, [ClassSpec(3.4, Exponential(1.0))] * 4)],
+    ids=["s4", "m16"],
+)
+def test_exponential_service_gives_every_policy_the_same_waits(model):
+    # with exponential laws the per-class counts form one CTMC under every policy, so each class's
+    # mean wait is the same under all four: the per-seed differences from LIFO must centre on 0
+    seeds = rep_seeds(2026, 10)
+    t975 = sps.t.ppf(0.975, len(seeds) - 1)
+
+    def waits(policy):
+        return [per_class_raw(run(model, policy, RunConfig(seed=seed, target_completions=10_000, warmup_time=20.0,
+                                                           keep_records=False)).records, model)
+                for seed in seeds]
+
+    lifo = waits(LIFO)
+    for policy in (FIFO, STRICT, FIFO_STRICT):
+        other = waits(policy)
+        for k in range(1, len(model.classes) + 1):
+            diffs = [b[k].w - a[k].w for a, b in zip(lifo, other)]
+            half_width = t975 * statistics.stdev(diffs) / math.sqrt(len(diffs))
+            # differences all exactly 0 pass
+            assert abs(statistics.fmean(diffs)) <= 4 * half_width, (policy, k, diffs)
 
 
 def test_subnormal_arrival_rate_runs_without_warnings():
