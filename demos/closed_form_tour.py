@@ -5,7 +5,7 @@ exact, an identical-exponential multiserver system where it is exact
 again, and the bundled four-class scenario where it is genuinely an
 approximation.  Run from the repository root:
 
-    python3 demos/closed_form_tour.py
+    PYTHONPATH=src python3 demos/closed_form_tour.py
 """
 
 from pathlib import Path

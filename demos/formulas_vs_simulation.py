@@ -8,7 +8,7 @@ comparison shows how large the approximation error actually is.
 
 Run from the repository root (about half a minute):
 
-    python3 demos/formulas_vs_simulation.py
+    PYTHONPATH=src python3 demos/formulas_vs_simulation.py
 """
 
 from pathlib import Path

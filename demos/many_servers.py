@@ -20,8 +20,8 @@ For each server count it prints:
 
 Run from the repository root (a few seconds with the defaults):
 
-    python3 demos/many_servers.py
-    python3 demos/many_servers.py --servers 16 64 256 1024 --reps 6 --rep-jobs 200000
+    PYTHONPATH=src python3 demos/many_servers.py
+    PYTHONPATH=src python3 demos/many_servers.py --servers 16 64 256 1024 --reps 6 --rep-jobs 200000
 """
 
 import argparse

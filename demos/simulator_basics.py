@@ -4,7 +4,7 @@ Scripted traces make the preemption rules visible job by job; the
 stochastic run shows the raw per-class aggregates the statistics layer
 consumes.  Run from the repository root:
 
-    python3 demos/simulator_basics.py
+    PYTHONPATH=src python3 demos/simulator_basics.py
 """
 
 import sys

@@ -9,6 +9,7 @@ import warnings
 from dataclasses import replace
 from itertools import chain
 
+import numpy as np
 import pytest
 import scipy.stats as sps
 from hypothesis import given, settings
@@ -123,6 +124,16 @@ def test_trace_simultaneous_completions_leave_in_start_order():
     model = SystemModel(2, [ClassSpec(1.0, Exponential(1.0))] * 3)
     result = run(model, LIFO, TraceInput([(0.0, 1, 3.0), (1.0, 2, 2.0), (2.0, 3, 1.0)]))
     assert [(r.class_index, r.completion_time) for r in result.records] == [(1, 3.0), (2, 3.0), (3, 4.0)]
+
+
+def test_trace_resumed_job_tied_with_a_started_job_leaves_in_start_order():
+    # C (class 1) displaces B at 1.0; at C's completion B resumes on C's server and finishes at 3.0,
+    # tied with A, which started at 0, so A leaves first; D then takes A's server from the pool
+    model = SystemModel(2, [ClassSpec(1.0, Exponential(1.0))] * 3)
+    result = run(model, LIFO, TraceInput([(0.0, 1, 3.0), (0.5, 2, 1.5), (1.0, 1, 1.0), (2.5, 3, 1.0)]))
+    assert [(r.arrival_time, r.first_start_time, r.completion_time, r.interruption_intervals)
+            for r in result.records] == [
+        (1.0, 1.0, 2.0, ()), (0.0, 0.0, 3.0, ()), (0.5, 0.5, 3.0, (1.0,)), (2.5, 3.0, 4.0, ())]
 
 
 @pytest.mark.parametrize("policy", [LIFO, STRICT], ids=["equal-class-on", "equal-class-off"])
@@ -540,6 +551,14 @@ def test_runs_are_deterministic():
     completions = [r.completion_time for r in a.records]
     assert completions == sorted(completions)
     assert run(model, LIFO, RunConfig(seed=22, target_completions=2000, warmup_time=20.0)).records != a.records
+
+
+def test_equal_arrival_times_come_out_in_class_order(monkeypatch):
+    # every gap is 1.0, so every class arrives at t = 1, 2, 3, ...: each time is tied across the classes
+    monkeypatch.setattr(mgmprio.simulation, "_exponentials", lambda uniforms, rate: np.ones_like(uniforms))
+    arrivals = list(chain.from_iterable(mgmprio.simulation._arrival_windows(PAPER_S4, 1, 200.0)))
+    assert [(t, cls) for t, cls, _ in arrivals[:-1]] == [(float(t), k) for t in range(1, 201) for k in range(1, 5)]
+    assert arrivals[-1] == (200.0, 0, 0.0)
 
 
 class _ShiftedExponential(ServiceDistribution):
