@@ -61,15 +61,15 @@ Either way ``end_time`` is the time of the last event processed.
 
 Each counted job adds, on completion, to three lists of its class in the
 run's :class:`JobLog`: its sojourn, its initial delay if that is > 0, and
-its interruption intervals if it was preempted.  Before each arrival
-window, once those lists hold ``_FOLD_AT`` sojourns, the run folds the
-log: it adds their lengths to per-class counts, replaces each list and
-the expansion it joins by an exact expansion of their sum (a short list
-of floats from repeated ``math.fsum``) and clears it, so a stochastic
-run's reduction state stays bounded whatever its job count; a trace, one
-window, never folds.  :func:`per_class_raw` sums expansions and lists
-with ``math.fsum``, which is correctly rounded and so independent of
-order and of where folds fell; that is the only reduction.  With
+each of its interruption intervals.  Before each arrival window, once
+those lists hold ``_FOLD_AT`` sojourns, the run folds the log: it adds
+their lengths to per-class counts, replaces each list and the expansion
+it joins by an exact expansion of their sum (a short list of floats from
+repeated ``math.fsum``) and clears it, so a stochastic run's reduction
+state stays bounded whatever its job count; a trace, one window, never
+folds.  :func:`per_class_raw` sums expansions and lists with
+``math.fsum``, which is correctly rounded and so independent of order
+and of where folds fell; that is the only reduction.  With
 ``RunConfig.keep_records`` (the default) and for every trace, each
 counted job is also logged as one 40-byte packed row (class index,
 arrival, service, first start and completion) beside its intervals, and
@@ -206,13 +206,13 @@ class JobLog(Sequence):
     For each class, indexed by class index (slot 0 stays empty), it holds
     three counts: jobs, delayed jobs and interruptions.  Beside them sit
     three expansions, short lists of floats whose exact sum is that of
-    every sojourn, every initial delay and every preempted job's summed
-    intervals folded so far.  ``run`` appends each counted job to three
-    tail lists of its class: its sojourn, its initial delay if the job was
-    first started after its arrival, and its interval list if it was
-    preempted.  Before each arrival window, once the tails hold ``_FOLD_AT``
-    sojourns, ``run`` folds them into the counts and expansions, so a
-    rowless stochastic log stays bounded; a trace, one window, never folds.
+    every sojourn, every initial delay and every interruption interval
+    folded so far.  ``run`` adds each counted job to three tail lists of
+    its class: its sojourn, its initial delay if the job was first started
+    after its arrival, and each of its interruption intervals.  Before each
+    arrival window, once the tails hold ``_FOLD_AT`` sojourns, ``run``
+    folds them into the counts and expansions, so a rowless stochastic log
+    stays bounded; a trace, one window, never folds.
     :func:`per_class_raw` reduces expansions and tails together.
 
     A log with rows also holds each job as one 40-byte row of a single
@@ -226,41 +226,31 @@ class JobLog(Sequence):
     their folds fell.
     """
 
-    __slots__ = ("_counts", "_parts", "_sojourns", "_delays", "_held", "_rows", "_intervals")
+    __slots__ = ("_counts", "_parts", "_tails", "_rows", "_intervals")
 
     def __init__(self, n_classes: int, keep_rows: bool):
         self._counts = [[0, 0, 0] for _ in range(n_classes + 1)]
         self._parts = [([], [], []) for _ in range(n_classes + 1)]
-        self._sojourns = [[] for _ in range(n_classes + 1)]
-        self._delays = [[] for _ in range(n_classes + 1)]
-        self._held = [[] for _ in range(n_classes + 1)]
+        # sojourns, initial delays and interruption intervals, each one list per class
+        self._tails = tuple([[] for _ in range(n_classes + 1)] for _ in range(3))
         self._rows = bytearray() if keep_rows else None
         self._intervals = [] if keep_rows else None
 
     def __len__(self):
-        return sum(c[0] for c in self._counts) + sum(map(len, self._sojourns))
+        return sum(c[0] for c in self._counts) + sum(map(len, self._tails[0]))
 
     def _fold(self):
         """Fold every class's tail lists into its counts and expansions, and clear them."""
-        for counts, parts, sojourns, delays, held in zip(
-                self._counts, self._parts, self._sojourns, self._delays, self._held):
-            counts[0] += len(sojourns)
-            counts[1] += len(delays)
-            counts[2] += sum(map(len, held))
-            held[:] = map(math.fsum, held)
-            for expansion, tail in zip(parts, (sojourns, delays, held)):
-                _fold_into(expansion, tail)
+        for counts, parts, *tails in zip(self._counts, self._parts, *self._tails):
+            for j, tail in enumerate(tails):
+                counts[j] += len(tail)
+                _fold_into(parts[j], tail)
 
     def _class_sums(self, k: int):
         """Class ``k``'s jobs, delayed jobs and interruptions, then its sojourn, delay and interruption sums."""
-        jobs, delayed, interruptions = self._counts[k]
-        sojourn_parts, delay_parts, held_parts = self._parts[k]
-        held = self._held[k]
-        return (jobs + len(self._sojourns[k]), delayed + len(self._delays[k]),
-                interruptions + sum(map(len, held)),
-                math.fsum(chain(sojourn_parts, self._sojourns[k])), math.fsum(chain(delay_parts, self._delays[k])),
-                # a job's intervals are summed first, as in its JobRecord
-                math.fsum(chain(held_parts, map(math.fsum, held))))
+        tails = [by_class[k] for by_class in self._tails]
+        return (*(n + len(tail) for n, tail in zip(self._counts[k], tails)),
+                *(math.fsum(chain(parts, tail)) for parts, tail in zip(self._parts[k], tails)))
 
     def _require_rows(self):
         if self._rows is None:
@@ -442,7 +432,7 @@ def run(model: SystemModel, policy: PolicyConfig, cfg) -> RunResult:
     # a trace keeps its rows: it is run to be read job by job
     keep = not isinstance(cfg, RunConfig) or cfg.keep_records
     log = JobLog(n_classes, keep)
-    sojourns, delays, held = log._sojourns, log._delays, log._held
+    sojourns, delays, interruptions = log._tails
     if keep:
         log_row = log._rows.extend
         log_intervals = log._intervals.append
@@ -493,7 +483,7 @@ def run(model: SystemModel, policy: PolicyConfig, cfg) -> RunResult:
                     if delay > 0.0:
                         delays[cls].append(delay)
                     if job[_INTERVALS] is not None:
-                        held[cls].append(job[_INTERVALS])
+                        interruptions[cls].extend(job[_INTERVALS])
                     if keep:
                         log_row(pack_row(cls, arrival, job[_SERVICE], job[_FIRST_START], now))
                         log_intervals(job[_INTERVALS])
@@ -598,14 +588,13 @@ class RawClassStats:
 def per_class_raw(log: JobLog, model: SystemModel) -> dict[int, RawClassStats]:
     """Reduce a run's job log into the raw estimators, keyed by class index.
 
-    Each class's sojourns and delays are summed with ``math.fsum``, and its
-    interruptions as each job's intervals summed with ``math.fsum``, then
-    those totals summed with ``math.fsum``.  A folded part of the log
-    enters each sum as its exact expansion.  As ``fsum`` is correctly
-    rounded, the sums do not depend on the order of the jobs or on where
-    the log was folded, so they are the same with and without the log's
-    rows.  Every class of the model gets an entry; one with no counted
-    jobs is ``RawClassStats(count=0)``.
+    Each class's sojourns, its delays and its interruption intervals are
+    summed with ``math.fsum``, a folded part of the log entering each sum
+    as its exact expansion.  As ``fsum`` is correctly rounded, the sums do
+    not depend on the order of the jobs or on where the log was folded, so
+    they are the same with and without the log's rows.  Every class of the
+    model gets an entry; one with no counted jobs is
+    ``RawClassStats(count=0)``.
     """
     out: dict[int, RawClassStats] = {}
     for k in range(1, len(model.classes) + 1):

@@ -168,7 +168,7 @@ def reference_per_class_raw(records, n_classes: int) -> dict[int, RawClassStats]
         v = math.fsum(r.completion_time - r.arrival_time for r in jobs) / n
         delays = [r.first_start_time - r.arrival_time for r in jobs if r.first_start_time > r.arrival_time]
         int_count = sum(r.preemption_count for r in jobs)
-        int_sum = math.fsum(r.total_interruption_time for r in jobs)
+        int_sum = math.fsum(x for r in jobs for x in r.interruption_intervals)
         out[cls] = RawClassStats(
             count=n,
             p=len(delays) / n,

@@ -182,6 +182,26 @@ def test_per_class_raw_flags_empty_class():
     assert per_class_raw(run(M1, LIFO, TraceInput([(0.0, 1, 1.0)])).records, M1_TWO) == stats
 
 
+def test_a_class_interruption_total_is_the_sum_of_every_interval():
+    model = SystemModel(1, [ClassSpec(1.0, Exponential(1.0)), ClassSpec(0.1, Exponential(1.0))])
+    trace = TraceInput([(0.0, 2, 0.1), (0.0625, 1, 2**-53), (0.125, 2, 10.0), (0.25, 1, 2**-54), (0.5, 1, 1.0)])
+    result = run(model, LIFO, trace)
+    jobs = [r for r in result.records if r.class_index == 2]
+    assert [r.interruption_intervals for r in jobs] == [(2**-53,), (2**-54, 1.0)]
+    assert all(r.first_start_time == r.arrival_time for r in jobs)
+    stats = per_class_raw(result.records, model)[2]
+    # 1 + 3 * 2**-54 rounds up to 1 + 2**-52; summing each job's rounded total first would give 1
+    assert stats.g == math.fsum([2**-53, 2**-54, 1.0]) / 3 == float.fromhex("0x1.5555555555557p-2")
+    assert stats.w == 0.5 + 2**-53
+
+
+def test_job_log_repr_and_comparison_with_another_type():
+    result = run(M1, LIFO, TraceInput([(0.0, 1, 3.0), (1.0, 1, 1.0)]))
+    assert repr(result.records) == "JobLog(2 jobs)"
+    assert (result.records == 0) is False
+    assert result.records != None  # noqa: E711
+
+
 @pytest.mark.parametrize(
     "model, policy, cfg",
     [
