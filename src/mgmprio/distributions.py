@@ -15,8 +15,8 @@ draws are split into blocks.
 Each law declares its text form once, in ``_spec``: the spec name, then the
 type that parses each field in ``__slots__`` order.  ``spec()`` and
 :func:`parse_distribution` both read it, so a new law needs only its class,
-named in ``_LAWS`` beside ``__all__``.  HyperExponential, whose one field is
-a list of ``p:r`` pairs, renders and parses that field itself.
+named in ``_LAWS`` beside ``__all__``.  HyperExponential's ``p:r`` list is
+rendered by its ``spec()``, parsed by a branch of :func:`parse_distribution`.
 Each law checks when built that its parameters and moments pass
 :func:`require_finite`, the validity rule shared by all model and run inputs
 (:func:`require_count` is its rule for counts).
@@ -28,6 +28,7 @@ generated methods would cost that side most of its import time.
 """
 
 import math
+import sys
 from itertools import accumulate
 
 # true for type checkers only, without loading ``typing``
@@ -53,8 +54,8 @@ _MAX_ERLANG_SHAPE = 1000
 
 
 def require_finite(what: str, value, *, zero_ok: bool = False) -> None:
-    """Raise ValueError unless ``value`` is finite and > 0 (>= 0 with ``zero_ok``)."""
-    if not ((value >= 0 if zero_ok else value > 0) and value < math.inf):
+    """Raise ValueError unless ``value`` is > 0 (>= 0 with ``zero_ok``) and at most the largest double."""
+    if not ((value >= 0 if zero_ok else value > 0) and value <= sys.float_info.max):
         sign = "nonnegative" if zero_ok else "positive"
         raise ValueError(f"{what} must be {sign} and finite, got {value!r}")
 

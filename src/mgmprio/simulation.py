@@ -108,10 +108,10 @@ __all__ = [
 # jobs per class whose arrival times and service requirements are drawn at once
 _BLOCK = 1024
 
-# the most servers at which the victim is found by min() over every busy
-# server's key; above it, by a heap of the keys built while all are busy.
-# Measured per job of run: at 2 to 8 servers the heap costs 2-4% more than
-# the scan, at 12 the two are even, and at 32 the heap saves 7-8%
+# the most servers at which the victim is found by min() over every busy server's key; above it, by a
+# heap of the keys built while all are busy.  run's time per job with the heap over the scan, 2-CPU host,
+# after 31e02e7: 1.015-1.045 on paper_s4 (3 servers), 0.996-1.005 on M/D/1, 0.990-1.019 at 8 servers;
+# at 34c7a08, four exp(1) classes at load 0.85: 0.990-0.994 at 12 servers and 0.912-0.920 at 32
 _VICTIM_SCAN_MAX = 12
 
 # unfolded sojourns at which a JobLog's tail lists are folded, between arrival windows: folding
@@ -128,7 +128,7 @@ class PolicyConfig:
 
     ``within_class_order`` is "lifo" (default) or "fifo" and governs the
     waiting pool order inside one class.  ``equal_class_preemption``
-    (default True) lets an arrival displace an in-service job of its own
+    (a bool, default True) lets an arrival displace an in-service job of its own
     class; when False only strictly lower-priority jobs are displaced.
     """
 
@@ -138,6 +138,8 @@ class PolicyConfig:
     def __post_init__(self):
         if self.within_class_order not in ("lifo", "fifo"):
             raise ValueError(f"within_class_order must be 'lifo' or 'fifo', got {self.within_class_order!r}")
+        if not isinstance(self.equal_class_preemption, bool):
+            raise ValueError(f"equal_class_preemption must be True or False, got {self.equal_class_preemption!r}")
 
 
 @dataclass(frozen=True)
@@ -175,29 +177,37 @@ class TraceInput:
     arrivals: tuple[tuple[float, int, float], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "arrivals", tuple(tuple(a) for a in self.arrivals))
+        arrivals = tuple(map(tuple, self.arrivals))
         last = -math.inf
-        for k, (t, cls, service) in enumerate(self.arrivals):
+        for k, (t, cls, service) in enumerate(arrivals):
             require_finite(f"trace entry {k} time", t, zero_ok=True)
             if t < last:
                 raise ValueError(f"trace times must be nondecreasing, entry {k} at {t!r} after {last!r}")
             require_finite(f"trace entry {k} service", service)
             require_count(f"trace entry {k} class", cls, 1)
             last = t
+        # checked as given, then kept as the doubles the clock runs on and the log stores
+        object.__setattr__(self, "arrivals", tuple((float(t), cls, float(s)) for t, cls, s in arrivals))
 
 
 @dataclass(frozen=True)
 class JobRecord:
-    """Lifecycle of one counted, completed job."""
+    """Lifecycle of one counted, completed job: its ``_ROW`` fields, then its interruption intervals."""
 
     class_index: int
     arrival_time: float
     service_requirement: float
     first_start_time: float
     completion_time: float
-    preemption_count: int
-    total_interruption_time: float
     interruption_intervals: tuple[float, ...]
+
+    @property
+    def preemption_count(self) -> int:
+        return len(self.interruption_intervals)
+
+    @property
+    def total_interruption_time(self) -> float:
+        return math.fsum(self.interruption_intervals)
 
 
 class JobLog(Sequence):
@@ -301,18 +311,7 @@ def _fold_into(parts: list, tail: list) -> None:
 
 
 def _record(row, intervals) -> JobRecord:
-    class_index, arrival, service, first_start, completion = row
-    intervals = tuple(intervals) if intervals else ()
-    return JobRecord(
-        class_index=class_index,
-        arrival_time=arrival,
-        service_requirement=service,
-        first_start_time=first_start,
-        completion_time=completion,
-        preemption_count=len(intervals),
-        total_interruption_time=math.fsum(intervals),
-        interruption_intervals=intervals,
-    )
+    return JobRecord(*row, tuple(intervals) if intervals else ())
 
 
 @dataclass(frozen=True)
@@ -455,9 +454,8 @@ def run(model: SystemModel, policy: PolicyConfig, cfg) -> RunResult:
         for seq, (t, cls, service) in enumerate(cfg.arrivals):
             if cls > n_classes:
                 raise ValueError(f"trace entry {seq} names class {cls}, model has {n_classes}")
-        # the clock runs on doubles, as the log stores them.  A trace is one window, so its log never
-        # folds, and like the stochastic stream it ends in an arrival of class 0, at inf
-        windows = [[(float(t), cls, float(service)) for t, cls, service in cfg.arrivals] + [(math.inf, 0, 0.0)]]
+        # one window, so the log never folds, ending like the stochastic stream in a class-0 arrival at inf
+        windows = [[*cfg.arrivals, (math.inf, 0, 0.0)]]
         warmup = -math.inf
         target = math.inf
 

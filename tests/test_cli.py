@@ -678,11 +678,14 @@ def test_package_has_no_assert_statements():
     assert not found
 
 
-def test_simulate_runs_under_python_dash_o():
+# -X dev shows warnings a default start hides, unclosed files among them, and -W error makes each one fail
+@pytest.mark.parametrize("flags", [["-O"], ["-X", "dev", "-W", "error"]], ids=" ".join)
+def test_simulate_runs_under_python_dash_o(flags):
     package_root = Path(mgmprio.__file__).resolve().parent.parent
     proc = subprocess.run(
-        [sys.executable, "-O", "-m", "mgmprio", "simulate", "--config", MD1_CFG, "--jobs", "200", "--reps", "2"],
+        [sys.executable, *flags, "-m", "mgmprio", "simulate", "--config", MD1_CFG, "--jobs", "200", "--reps", "2"],
         capture_output=True, text=True, timeout=60,
         env={**os.environ, "PYTHONPATH": str(package_root)},
     )
     assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""

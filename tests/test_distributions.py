@@ -210,6 +210,13 @@ def test_law_defining_no_sampling_path_refuses_to_sample():
         lambda: SystemModel(True, (ClassSpec(1.0, Exponential(1.0)),)),
         lambda: SystemModel(2, (ClassSpec(1.0, Erlang(True, 2.0)),)),
         lambda: SystemModel(1, []),
+        # an int past the largest double is not finite as a double, though it compares < inf
+        lambda: Exponential(2**1024),
+        lambda: Uniform(0, 2**1024),
+        lambda: HyperExponential(((1.0, 2**1024),)),
+        lambda: Deterministic(2**1024),
+        lambda: Deterministic(10**300),  # its second moment, 10**600, fits no double
+        lambda: ClassSpec(2**1024, Exponential(1.0)),
     ],
 )
 def test_invalid_parameters_rejected(build):

@@ -6,7 +6,7 @@ import math
 import statistics
 import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from itertools import chain
 
 import numpy as np
@@ -200,6 +200,14 @@ def test_job_log_repr_and_comparison_with_another_type():
     assert repr(result.records) == "JobLog(2 jobs)"
     assert (result.records == 0) is False
     assert result.records != None  # noqa: E711
+
+
+def test_job_log_rows_compare_as_numbers():
+    minus, plus = (run(M1, LIFO, TraceInput([(t, 1, 1.0)])).records for t in (-0.0, 0.0))
+    # the packed rows differ in the arrival's sign bit, which == on floats ignores
+    assert minus._rows != plus._rows
+    assert math.copysign(1.0, minus[0].arrival_time) == -1.0
+    assert minus == plus and list(minus) == list(plus)
 
 
 @pytest.mark.parametrize(
@@ -468,7 +476,7 @@ def test_trace_validation():
     with pytest.raises(ValueError):
         TraceInput([(0.0, 0, 1.0)])
     for bad in [(math.nan, 1, 1.0), (-1.0, 1, 1.0), (math.inf, 1, 1.0), (0.0, 1, math.inf), (0.0, 1, math.nan),
-                (0.0, True, 1.0)]:
+                (0.0, True, 1.0), (2**1024, 1, 1.0), (0.0, 1, 2**1024)]:
         with pytest.raises(ValueError):
             TraceInput([bad])
 
@@ -491,6 +499,9 @@ def test_trace_validation():
         {"keep_records": 1},
         {"keep_records": "no"},
         {"keep_records": None},
+        # an int past the largest double is not finite as a double, though it compares < inf
+        pytest.param({"warmup_time": 2**1024}, id="{'warmup_time': 2**1024}"),
+        pytest.param({"max_simulated_time": 2**1024}, id="{'max_simulated_time': 2**1024}"),
     ],
     ids=repr,
 )
@@ -508,6 +519,13 @@ def test_trace_classes_must_fit_model():
 def test_policy_rejects_unknown_within_class_order():
     with pytest.raises(ValueError):
         PolicyConfig(within_class_order="random")
+
+
+@pytest.mark.parametrize("value", ["no", 1, None], ids=repr)
+def test_policy_rejects_a_non_bool_equal_class_preemption(value):
+    # "no" is truthy, so it would run with equal-class preemption
+    with pytest.raises(ValueError, match="equal_class_preemption"):
+        PolicyConfig(equal_class_preemption=value)
 
 
 def test_run_rejects_a_config_of_another_type():
@@ -744,7 +762,13 @@ def test_job_record_csv_dump():
 
 
 def test_integer_trace_gives_float_records():
-    result = run(M1, LIFO, TraceInput([(0, 1, 3), (1, 1, 1)]))
+    trace = TraceInput([(0, 1, 3), (1, 1, 1)])
+    assert [tuple(map(type, a)) for a in trace.arrivals] == [(float, int, float)] * 2
+    result = run(M1, LIFO, trace)
+    # a record holds its row and its intervals, from which its count and total derive
+    assert [f.name for f in fields(result.records[0])] == [
+        "class_index", "arrival_time", "service_requirement", "first_start_time", "completion_time",
+        "interruption_intervals"]
     for r in result.records:
         times = (r.arrival_time, r.service_requirement, r.first_start_time, r.completion_time,
                  r.total_interruption_time, *r.interruption_intervals)
