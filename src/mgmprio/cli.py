@@ -6,6 +6,15 @@ Subcommands::
     mgmprio simulate --config FILE [simulation flags]
     mgmprio compare  --config FILE [--mode ...] [simulation flags]
 
+A flag is given as ``--flag value`` or ``--flag=value``; a unique prefix
+names it (``--conf``), a repeated flag keeps its last value, and
+``--help`` or ``-h`` prints the subcommands, or after one its flags with
+their defaults.  Each flag, its default and its help are declared once, in
+``_COMMANDS``.  The parser is this module's own, not ``argparse``, whose
+import and parser build cost a cold ``analytic`` process about 5 ms and
+load ``re``, ``gettext``, ``locale`` and ``shutil``, none of which
+``analytic`` needs otherwise.  Its usage errors keep argparse's wording.
+
 Exit status: 0 on success, 1 on usage or scenario-parse errors and on
 invalid values, non-finite ones included, 2 when the model is outside the
 requested mode's domain, 3 when a simulation was truncated: a
@@ -17,7 +26,6 @@ double precision and, for a fixed seed, is byte-stable across invocations.
 observed the metric.
 """
 
-import argparse
 import math
 import os
 import sys
@@ -43,49 +51,107 @@ class _UsageError(Exception):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with status 2 on bad usage; this tool reserves 2 for
-    # domain errors, so usage problems are rerouted to status 1
-    def error(self, message):
-        raise _UsageError(message)
+# Each subcommand's flags: flag -> (converter, default, help).  A default of
+# None marks a required flag, a converter of None a switch, and a tuple
+# converter the choices a value must be one of.
+_COMMON = {
+    "--config": (str, None, "scenario file"),
+    "--format": (("table", "csv"), "table", "output format"),
+}
+_MODE = {"--mode": (tuple(sorted(_MODES)), "approx", "closed-form route")}
+_SIMULATION = {
+    "--jobs": (int, 1_000_000, "counted completions per replication"),
+    "--warmup": (float, 100.0, "warm-up time; earlier arrivals are not counted"),
+    "--seed": (int, 1, "base seed"),
+    "--reps": (int, 10, "replications"),
+    "--within-class": (("lifo", "fifo"), "lifo", "order within one class"),
+    "--strict-preemption": (None, False, "only displace strictly lower-priority jobs"),
+    "--max-time": (float, math.inf, "simulated-time safety cap; hitting it exits 3"),
+}
+_COMMANDS = {
+    "analytic": ("closed-form metrics", {**_COMMON, **_MODE}),
+    "simulate": ("replicated simulation estimates", {**_COMMON, **_SIMULATION}),
+    "compare": ("analytic values against simulation", {**_COMMON, **_MODE, **_SIMULATION}),
+}
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="mgmprio", description="Preemptive priority queue metrics")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _help(command) -> str:
+    """The subcommands (``command`` None), or the flags of one, with their defaults."""
+    if command is None:
+        return "\n".join(["usage: mgmprio {analytic,simulate,compare} --config CONFIG [flags]", "",
+                          "Preemptive priority queue metrics", "",
+                          *(f"  {name:<10}{about}" for name, (about, _) in _COMMANDS.items()), "",
+                          "mgmprio COMMAND --help lists the flags of one subcommand."])
+    about, flags = _COMMANDS[command]
+    rows = []
+    for flag, (convert, default, text) in flags.items():
+        if isinstance(convert, tuple):
+            flag += " {" + ",".join(convert) + "}"
+        elif convert is not None:
+            flag += " " + flag[2:].upper().replace("-", "_")
+        if default is None:
+            text += " (required)"
+        elif convert is not None:
+            text += f" (default {_cell(default)})"
+        rows.append((flag, text))
+    width = max(len(flag) for flag, _ in rows) + 2
+    return "\n".join([f"usage: mgmprio {command} --config CONFIG [flags]", "", about, "",
+                      *(f"  {flag:<{width}}{text}" for flag, text in rows)])
 
-    def add_common(p):
-        p.add_argument("--config", required=True, help="scenario file")
-        p.add_argument("--format", choices=("table", "csv"), default="table")
 
-    def add_sim_flags(p):
-        p.add_argument("--jobs", type=int, default=1_000_000,
-                       help="counted completions per replication (default 1000000)")
-        p.add_argument("--warmup", type=float, default=100.0,
-                       help="warm-up time; earlier arrivals are not counted (default 100)")
-        p.add_argument("--seed", type=int, default=1, help="base seed (default 1)")
-        p.add_argument("--reps", type=int, default=10, help="replications (default 10)")
-        p.add_argument("--within-class", choices=("lifo", "fifo"), default="lifo",
-                       help="order within one class (default lifo)")
-        p.add_argument("--strict-preemption", action="store_true",
-                       help="only displace strictly lower-priority jobs")
-        p.add_argument("--max-time", type=float, default=math.inf,
-                       help="simulated-time safety cap; hitting it exits 3")
+def _parse(argv: list) -> tuple:
+    """``(command, values)`` from ``argv``, with ``values`` None when help was asked for.
 
-    p_analytic = sub.add_parser("analytic", help="closed-form metrics")
-    add_common(p_analytic)
-    p_analytic.add_argument("--mode", choices=sorted(_MODES), default="approx")
-
-    p_sim = sub.add_parser("simulate", help="replicated simulation estimates")
-    add_common(p_sim)
-    add_sim_flags(p_sim)
-
-    p_cmp = sub.add_parser("compare", help="analytic values against simulation")
-    add_common(p_cmp)
-    p_cmp.add_argument("--mode", choices=sorted(_MODES), default="approx")
-    add_sim_flags(p_cmp)
-
-    return parser
+    ``values`` maps each flag of the command to its value or default.  A
+    flag is given as ``--flag value`` or ``--flag=value``, a unique prefix
+    names it, and a repeated flag keeps its last value.  Raises
+    ``_UsageError`` with argparse's wording.
+    """
+    if not argv:
+        raise _UsageError("the following arguments are required: command")
+    command, *rest = argv
+    if command in ("-h", "--help"):
+        return None, None
+    if command not in _COMMANDS:
+        raise _UsageError(f"argument command: invalid choice: {command!r} "
+                          f"(choose from {', '.join(map(repr, _COMMANDS))})")
+    flags = _COMMANDS[command][1]
+    values = {}
+    tokens = iter(rest)
+    for token in tokens:
+        name, given, text = ("--help" if token == "-h" else token).partition("=")
+        names = [f for f in (*flags, "--help") if f.startswith(name)] if name[:2] == "--" and name[2:] else []
+        if len(names) != 1:
+            raise _UsageError(f"ambiguous option: {name} could match {', '.join(names)}" if names
+                              else f"unrecognized arguments: {token}")
+        flag = names[0]
+        convert = flags[flag][0] if flag in flags else None
+        if convert is None:  # a switch, or --help
+            if given:
+                raise _UsageError(f"argument {flag}: ignored explicit argument {text!r}")
+            if flag == "--help":
+                return command, None
+            values[flag] = True
+            continue
+        if not given:
+            text = next(tokens, None)
+            # the value may be a negative number, but not a flag
+            if text is None or text[:1] == "-" and not text[1:].replace(".", "", 1).isdigit():
+                raise _UsageError(f"argument {flag}: expected one argument")
+        if isinstance(convert, tuple):
+            if text not in convert:
+                raise _UsageError(f"argument {flag}: invalid choice: {text!r} "
+                                  f"(choose from {', '.join(map(repr, convert))})")
+            values[flag] = text
+            continue
+        try:
+            values[flag] = convert(text)
+        except ValueError:
+            raise _UsageError(f"argument {flag}: invalid {convert.__name__} value: {text!r}") from None
+    missing = [flag for flag, (_, default, _) in flags.items() if default is None and flag not in values]
+    if missing:
+        raise _UsageError(f"the following arguments are required: {', '.join(missing)}")
+    return command, {flag: values.get(flag, default) for flag, (_, default, _) in flags.items()}
 
 
 def _full(x) -> str:
@@ -123,40 +189,41 @@ def _lines(fmt, csv_header, rows, table_header=None, table_rows=None):
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        command, args = _parse(sys.argv[1:] if argv is None else argv)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except SystemExit as exc:  # --help and friends
-        return 0 if exc.code in (0, None) else 1
+    if args is None:
+        print(_help(command))
+        return 0
+    config, fmt = args["--config"], args["--format"]
 
     try:
-        with open(args.config, encoding="utf-8") as fh:
+        with open(config, encoding="utf-8") as fh:
             scenario = parse_scenario(fh.read())
     except (OSError, UnicodeDecodeError) as exc:
-        print(f"error: cannot read {args.config}: {exc}", file=sys.stderr)
+        print(f"error: cannot read {config}: {exc}", file=sys.stderr)
         return 1
     except ScenarioError as exc:
-        print(f"error: {args.config}: {exc}", file=sys.stderr)
+        print(f"error: {config}: {exc}", file=sys.stderr)
         return 1
 
-    if args.command != "simulate":
+    if command != "simulate":
         # compare rejects an out-of-domain model before it simulates
         try:
-            metrics = _MODES[args.mode](scenario.model)
+            metrics = _MODES[args["--mode"]](scenario.model)
         except DomainError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        if args.command == "analytic":
+        if command == "analytic":
             rows = [(cls, name, getattr(m, name), m.stable)
                     for cls, m in enumerate(metrics, start=1) for name in METRIC_NAMES]
             # the table is wide, one row per class; an unstable class has no metrics
             wide = [(cls, *(getattr(m, name) for name in METRIC_NAMES)) if m.stable
                     else (cls, "UNSTABLE") + (None,) * (len(METRIC_NAMES) - 1)
                     for cls, m in enumerate(metrics, start=1)]
-            print("\n".join(_lines(args.format, ANALYTIC_CSV_HEADER, rows, ("class", *METRIC_NAMES), wide)))
+            print("\n".join(_lines(fmt, ANALYTIC_CSV_HEADER, rows, ("class", *METRIC_NAMES), wide)))
             return 0
 
     # the simulator loads numpy; the analytic subcommand never needs it
@@ -164,19 +231,19 @@ def main(argv=None) -> int:
     from .simulation import PolicyConfig, RunConfig
 
     try:
-        cfg = RunConfig(seed=args.seed, target_completions=args.jobs, warmup_time=args.warmup,
-                        max_simulated_time=args.max_time)
-        policy = PolicyConfig(within_class_order=args.within_class,
-                              equal_class_preemption=not args.strict_preemption)
-        report = replicate(scenario.model, policy, cfg, args.reps)
+        cfg = RunConfig(seed=args["--seed"], target_completions=args["--jobs"], warmup_time=args["--warmup"],
+                        max_simulated_time=args["--max-time"])
+        policy = PolicyConfig(within_class_order=args["--within-class"],
+                              equal_class_preemption=not args["--strict-preemption"])
+        report = replicate(scenario.model, policy, cfg, args["--reps"])
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.command == "simulate":
+    if command == "simulate":
         rows = [(cls, name, est[name].estimate, est[name].ci_half_width, est[name].replications)
                 for cls, est in sorted(report.classes.items()) for name in METRIC_NAMES]
-        lines = _lines(args.format, SIMULATE_CSV_HEADER, rows, ("class", "metric", "estimate", "ci95", "reps"))
-        if args.format == "table":
+        lines = _lines(fmt, SIMULATE_CSV_HEADER, rows, ("class", "metric", "estimate", "ci95", "reps"))
+        if fmt == "table":
             md = report.metadata
             lines.append(f"# reps={len(md.completions_per_rep)} seed={md.base_seed}"
                          f" completions={sum(md.completions_per_rep)} wall={md.wall_clock_seconds:.2f}s"
@@ -184,7 +251,7 @@ def main(argv=None) -> int:
     else:
         rows = [(r.class_index, r.metric, r.analytic, r.sim_mean, r.sim_ci_half_width, r.abs_error,
                  r.rel_error, r.covered) for r in compare(report, metrics)]
-        lines = _lines(args.format, COMPARE_CSV_HEADER, rows)
+        lines = _lines(fmt, COMPARE_CSV_HEADER, rows)
     print("\n".join(lines))
     return 3 if report.metadata.truncated else 0
 

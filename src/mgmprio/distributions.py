@@ -54,8 +54,13 @@ _MAX_ERLANG_SHAPE = 1000
 
 
 def require_finite(what: str, value, *, zero_ok: bool = False) -> None:
-    """Raise ValueError unless ``value`` is > 0 (>= 0 with ``zero_ok``) and at most the largest double."""
-    if not ((value >= 0 if zero_ok else value > 0) and value <= sys.float_info.max):
+    """Raise ValueError unless ``value`` is > 0 (>= 0 with ``zero_ok``) and at most the largest double.
+
+    ``value`` must be an int or a float, not a bool: any other real, such as
+    ``True`` or ``Fraction(1, 3)``, would render as a spec no parser reads back.
+    """
+    if not (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and (value >= 0 if zero_ok else value > 0) and value <= sys.float_info.max):
         sign = "nonnegative" if zero_ok else "positive"
         raise ValueError(f"{what} must be {sign} and finite, got {value!r}")
 

@@ -259,12 +259,25 @@ def test_simulators_survive_fuzzed_scenarios(tmp_path_factory, text, command):
         ["frobnicate", "--config", "x.cfg"],
         ["analytic", "--config"],
         ["simulate", "--config", "x.cfg", "--jobs", "many"],
+        ["analytic", "--config", MD1_CFG, "--warmup", "5"],  # a flag of another subcommand
+        ["analytic", "--config", MD1_CFG, "extra"],
+        ["compare", "--config", MD1_CFG, "--m", "approx"],  # --mode or --max-time
+        ["simulate", "--config", MD1_CFG, "--strict-preemption=yes"],
     ],
 )
 def test_usage_errors_exit_one(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
-    assert code == 1
-    assert "error:" in err
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["analytic", f"--config={PAPER_S4_CFG}"],
+    ["analytic", "--conf", PAPER_S4_CFG],
+    ["analytic", "--config", PAPER_S4_CFG, "--format", "csv", "--format", "table"],
+], ids=["equals", "prefix", "last-wins"])
+def test_accepted_flag_forms(capsys, argv):
+    assert run_cli(capsys, *argv) == (0, PAPER_S4_TABLE, "")
 
 
 def test_bad_mode_value_exits_one(capsys):
@@ -331,6 +344,7 @@ def test_analytic_path_does_not_import_numpy():
     assert not [name for name in imported if name.split(".")[0] == "numpy"]
     # dataclasses loads inspect, ast, dis and tokenize, which cost more than the package itself
     assert "dataclasses" not in imported and "inspect" not in imported
+    assert "argparse" not in imported
 
 
 def test_import_and_scenario_parsing_never_load_re():
@@ -341,13 +355,24 @@ def test_import_and_scenario_parsing_never_load_re():
             "import mgmprio\n"
             f"for path in {[MD1_CFG, MM3_CFG, PAPER_S4_CFG]!r}:\n"
             "    mgmprio.parse_scenario(open(path).read())\n"
-            "assert 're' not in sys.modules, sorted(sys.modules)\n")
+            "assert 're' not in sys.modules, sorted(sys.modules)\n"
+            "import mgmprio.cli\n"
+            f"assert mgmprio.cli.main(['analytic', '--config', {PAPER_S4_CFG!r}]) == 0\n"
+            "loaded = [name for name in ('re', 'argparse', 'gettext', 'locale', 'shutil') if name in sys.modules]\n"
+            "assert not loaded, loaded\n")
     proc = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
 
 
 def test_help_exits_zero(capsys):
     assert run_cli(capsys, "--help")[0] == 0
+
+
+def test_subcommand_help_lists_its_own_flags_with_defaults(capsys):
+    code, out, err = run_cli(capsys, "simulate", "--help")
+    assert code == 0 and err == ""
+    assert "counted completions per replication (default 1000000)" in " ".join(out.split())
+    assert "--mode" not in out
 
 
 def test_nonpositive_reps_rejected(capsys):

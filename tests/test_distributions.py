@@ -1,6 +1,7 @@
 """Moment exactness, sampling convergence and parsing for every service law."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -217,6 +218,11 @@ def test_law_defining_no_sampling_path_refuses_to_sample():
         lambda: Deterministic(2**1024),
         lambda: Deterministic(10**300),  # its second moment, 10**600, fits no double
         lambda: ClassSpec(2**1024, Exponential(1.0)),
+        # a real that is neither an int nor a float renders as a spec no parser reads back
+        lambda: Exponential(True),
+        lambda: Uniform(0, True),
+        lambda: Deterministic(Fraction(1, 3)),
+        lambda: ClassSpec(True, Exponential(1.0)),
     ],
 )
 def test_invalid_parameters_rejected(build):
@@ -229,7 +235,7 @@ def test_erlang_shape_must_be_integer():
         Erlang(1.5, 1.0)
 
 
-@pytest.mark.parametrize("dist", VARIANTS, ids=lambda d: d.spec())
+@pytest.mark.parametrize("dist", [*VARIANTS, Uniform(0, 2)], ids=lambda d: d.spec())
 def test_spec_string_round_trips(dist):
     assert parse_distribution(dist.spec()) == dist
 
