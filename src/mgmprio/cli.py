@@ -136,7 +136,7 @@ def _parse(argv: list) -> tuple:
         if not given:
             text = next(tokens, None)
             # the value may be a negative number, but not a flag
-            if text is None or text[:1] == "-" and not text[1:].replace(".", "", 1).isdigit():
+            if text is None or (text[:1] == "-" and not text[1:].replace(".", "", 1).isdigit()):
                 raise _UsageError(f"argument {flag}: expected one argument")
         if isinstance(convert, tuple):
             if text not in convert:
