@@ -27,7 +27,6 @@ observed the metric.
 """
 
 import math
-import os
 import sys
 
 from .analytic import METRIC_NAMES, approx_metrics, exact_mmm_identical, exact_single_channel
@@ -262,7 +261,10 @@ def entry() -> None:
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader closed the pipe; point stdout at devnull so that the
-        # flush at interpreter shutdown does not raise a second time
+        # flush at interpreter shutdown does not raise a second time.  Only
+        # this path needs os, which a -I -S start has not loaded
+        import os
+
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 1
     sys.exit(code)

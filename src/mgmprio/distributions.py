@@ -65,6 +65,11 @@ def require_finite(what: str, value, *, zero_ok: bool = False) -> None:
         raise ValueError(f"{what} must be {sign} and finite, got {value!r}")
 
 
+def _real_text(value) -> str:
+    """A checked real's text: the ``repr`` of the plain int or float it equals, never ``np.float64(2.0)``."""
+    return float.__repr__(value) if isinstance(value, float) else int.__repr__(value)
+
+
 def require_count(what: str, value, low: int, high: int | None = None) -> None:
     """Raise ValueError unless ``value`` is an int, not a bool, from ``low`` to ``high`` (no cap if None)."""
     # bool is an int, but True would render as a count no parser reads back
@@ -163,10 +168,10 @@ class ServiceDistribution:
         return np.array([self.sample(stream) for _ in range(n)], dtype=np.float64)
 
     def spec(self) -> str:
-        """Text accepted by :func:`parse_distribution`: the ``_spec`` name, then each field's ``repr``."""
+        """Text accepted by :func:`parse_distribution`: the ``_spec`` name, then each field as a plain int or float."""
         if not self._spec:
             raise NotImplementedError
-        fields = ",".join(repr(getattr(self, name)) for name in self.__slots__)
+        fields = ",".join(_real_text(getattr(self, name)) for name in self.__slots__)
         return f"{self._spec[0]}({fields})"
 
 
@@ -261,8 +266,9 @@ class HyperExponential(_Frozen, ServiceDistribution):
         if not self.branches:
             raise ValueError("hyperexponential needs at least one branch")
         for prob, rate in self.branches:
-            if not 0 < prob <= 1:
-                raise ValueError(f"branch probability must be in (0, 1], got {prob!r}")
+            require_finite("branch probability", prob)
+            if prob > 1:
+                raise ValueError(f"branch probability must be at most 1, got {prob!r}")
             require_finite("branch rate", rate)
         total = math.fsum(p for p, _ in self.branches)
         if abs(total - 1.0) > _PROB_SUM_TOL:
@@ -288,7 +294,7 @@ class HyperExponential(_Frozen, ServiceDistribution):
         return _exponentials(u[:, 1], rates)
 
     def spec(self) -> str:
-        inner = ",".join(f"{p!r}:{r!r}" for p, r in self.branches)
+        inner = ",".join(f"{_real_text(p)}:{_real_text(r)}" for p, r in self.branches)
         return f"hyperexp({inner})"
 
 

@@ -131,7 +131,6 @@ def _run_reps(model: SystemModel, policy: PolicyConfig, base_cfg: RunConfig, see
     for seed in seeds:
         result = run(model, policy, replace(base_cfg, seed=seed, keep_records=False))
         reps.append((result.truncated, result.counted_completions, per_class_raw(result.records, model)))
-        del result  # free this rep's job log before the next rep builds its own
     return reps
 
 

@@ -12,7 +12,7 @@ comment (full-line or trailing).  Distribution specs follow
 whitespace.  Parse errors carry the 1-based line number.
 """
 
-from .distributions import _Frozen, _number, _setattr, parse_distribution
+from .distributions import _Frozen, _number, _real_text, _setattr, parse_distribution
 from .model import ClassSpec, SystemModel, _ClassError
 
 __all__ = ["Scenario", "ScenarioError", "parse_scenario", "render_scenario"]
@@ -100,5 +100,5 @@ def render_scenario(scenario: Scenario) -> str:
     """Render a scenario back to text; parse(render(s)) == s."""
     lines = [f"servers {scenario.model.servers}"]
     for spec in scenario.model.classes:
-        lines.append(f"class lambda={spec.arrival_rate!r} service={spec.service.spec()}")
+        lines.append(f"class lambda={_real_text(spec.arrival_rate)} service={spec.service.spec()}")
     return "\n".join(lines) + "\n"

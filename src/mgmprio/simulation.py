@@ -59,17 +59,16 @@ window, run to completion, the trace ending in a class-0 arrival at inf,
 and every job is counted; its times and services are taken as doubles.
 Either way ``end_time`` is the time of the last event processed.
 
-Each counted job adds, on completion, to three lists of its class in the
-run's :class:`JobLog`: its sojourn, its initial delay if that is > 0, and
-each of its interruption intervals.  Before each arrival window, once
-those lists hold ``_FOLD_AT`` sojourns, the run folds the log: it adds
-their lengths to per-class counts, replaces each list and the expansion
-it joins by an exact expansion of their sum (a short list of floats from
-repeated ``math.fsum``) and clears it, so a stochastic run's reduction
-state stays bounded whatever its job count; a trace, one window, never
-folds.  :func:`per_class_raw` sums expansions and lists with
-``math.fsum``, which is correctly rounded and so independent of order
-and of where folds fell; that is the only reduction.  With
+Each counted job adds, on completion, to three buffers of its class: its
+sojourn, its initial delay if that is > 0, and each of its interruption
+intervals.  At the end of every arrival window and at the target, the run
+folds them into its :class:`JobLog`: it adds their lengths to per-class
+counts, replaces each buffer and the expansion it joins by an exact
+expansion of their sum (a short list of floats from repeated
+``math.fsum``) and clears it, so the log holds no unreduced value and,
+rowless, stays bounded whatever the job count.  :func:`per_class_raw` sums the
+expansions with ``math.fsum``, correctly rounded and so independent of
+order and of where folds fell; that is the only reduction.  With
 ``RunConfig.keep_records`` (the default) and for every trace, each
 counted job is also logged as one 40-byte packed row (class index,
 arrival, service, first start and completion) beside its intervals, and
@@ -83,7 +82,6 @@ import struct
 from collections.abc import Sequence
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush, heapreplace
-from itertools import chain
 
 import numpy as np
 
@@ -113,10 +111,6 @@ _BLOCK = 1024
 # after 31e02e7: 1.015-1.045 on paper_s4 (3 servers), 0.996-1.005 on M/D/1, 0.990-1.019 at 8 servers;
 # at 34c7a08, four exp(1) classes at load 0.85: 0.990-0.994 at 12 servers and 0.912-0.920 at 32
 _VICTIM_SCAN_MAX = 12
-
-# unfolded sojourns at which a JobLog's tail lists are folded, between arrival windows: folding
-# costs each value about two more fsum passes, so a run of a few thousand jobs never folds
-_FOLD_AT = 4096
 
 # one counted job in a JobLog: class index, arrival, service, first start, completion
 _ROW = struct.Struct("<qdddd")
@@ -216,14 +210,12 @@ class JobLog(Sequence):
     For each class, indexed by class index (slot 0 stays empty), it holds
     three counts: jobs, delayed jobs and interruptions.  Beside them sit
     three expansions, short lists of floats whose exact sum is that of
-    every sojourn, every initial delay and every interruption interval
-    folded so far.  ``run`` adds each counted job to three tail lists of
-    its class: its sojourn, its initial delay if the job was first started
-    after its arrival, and each of its interruption intervals.  Before each
-    arrival window, once the tails hold ``_FOLD_AT`` sojourns, ``run``
-    folds them into the counts and expansions, so a rowless stochastic log
-    stays bounded; a trace, one window, never folds.
-    :func:`per_class_raw` reduces expansions and tails together.
+    every sojourn, every initial delay (of a job first started after its
+    arrival) and every interruption interval of the class's counted jobs.
+    ``run`` folds its buffers of those values into them at the end of each
+    arrival window and at the target, so a log holds no unreduced value
+    and a rowless one stays bounded.  :func:`per_class_raw` sums the
+    expansions.
 
     A log with rows also holds each job as one 40-byte row of a single
     ``bytearray`` (class index, arrival, service, first start and
@@ -236,31 +228,28 @@ class JobLog(Sequence):
     their folds fell.
     """
 
-    __slots__ = ("_counts", "_parts", "_tails", "_rows", "_intervals")
+    __slots__ = ("_counts", "_parts", "_rows", "_intervals")
 
     def __init__(self, n_classes: int, keep_rows: bool):
         self._counts = [[0, 0, 0] for _ in range(n_classes + 1)]
         self._parts = [([], [], []) for _ in range(n_classes + 1)]
-        # sojourns, initial delays and interruption intervals, each one list per class
-        self._tails = tuple([[] for _ in range(n_classes + 1)] for _ in range(3))
         self._rows = bytearray() if keep_rows else None
         self._intervals = [] if keep_rows else None
 
-    def __len__(self):
-        return sum(c[0] for c in self._counts) + sum(map(len, self._tails[0]))
+    def _fold(self, buffers):
+        """Add ``buffers``, sojourns, initial delays and interruption intervals in one list per class; clear them."""
+        for counts, parts, *by_kind in zip(self._counts, self._parts, *buffers):
+            for j, values in enumerate(by_kind):
+                if values:
+                    counts[j] += len(values)
+                    _fold_into(parts[j], values)
 
-    def _fold(self):
-        """Fold every class's tail lists into its counts and expansions, and clear them."""
-        for counts, parts, *tails in zip(self._counts, self._parts, *self._tails):
-            for j, tail in enumerate(tails):
-                counts[j] += len(tail)
-                _fold_into(parts[j], tail)
+    def __len__(self):
+        return sum(c[0] for c in self._counts)
 
     def _class_sums(self, k: int):
         """Class ``k``'s jobs, delayed jobs and interruptions, then its sojourn, delay and interruption sums."""
-        tails = [by_class[k] for by_class in self._tails]
-        return (*(n + len(tail) for n, tail in zip(self._counts[k], tails)),
-                *(math.fsum(chain(parts, tail)) for parts, tail in zip(self._parts[k], tails)))
+        return (*self._counts[k], *map(math.fsum, self._parts[k]))
 
     def _require_rows(self):
         if self._rows is None:
@@ -356,7 +345,7 @@ def _arrival_windows(model: SystemModel, seed: int, cap: float):
     their times, concatenated class by class, keeps equal times in class
     order.  No arrival at t = inf is yielded: the stream ends in one
     arrival of class 0 at ``cap``, inf when uncapped, as a window of its
-    own.  ``run`` folds its log between windows and stops at that arrival.
+    own.  ``run`` folds its log at the end of each window and stops at that arrival.
     """
     n_classes = len(model.classes)
     streams = substreams(seed, 2 * n_classes)
@@ -431,7 +420,8 @@ def run(model: SystemModel, policy: PolicyConfig, cfg) -> RunResult:
     # a trace keeps its rows: it is run to be read job by job
     keep = not isinstance(cfg, RunConfig) or cfg.keep_records
     log = JobLog(n_classes, keep)
-    sojourns, delays, interruptions = log._tails
+    # each counted job's values, one list per class, until the log folds them in
+    buffers = sojourns, delays, interruptions = tuple([[] for _ in range(n_classes + 1)] for _ in range(3))
     if keep:
         log_row = log._rows.extend
         log_intervals = log._intervals.append
@@ -454,14 +444,12 @@ def run(model: SystemModel, policy: PolicyConfig, cfg) -> RunResult:
         for seq, (t, cls, service) in enumerate(cfg.arrivals):
             if cls > n_classes:
                 raise ValueError(f"trace entry {seq} names class {cls}, model has {n_classes}")
-        # one window, so the log never folds, ending like the stochastic stream in a class-0 arrival at inf
+        # one window, reduced once at its end, ending like the stochastic stream in a class-0 arrival at inf
         windows = [[*cfg.arrivals, (math.inf, 0, 0.0)]]
         warmup = -math.inf
         target = math.inf
 
     for window in windows:
-        if sum(map(len, sojourns)) >= _FOLD_AT:
-            log._fold()
         for t_next, cls_next, service_next in window:
             # a completion goes before an arrival at the same time
             while events and events[0][0] <= t_next:
@@ -487,6 +475,7 @@ def run(model: SystemModel, policy: PolicyConfig, cfg) -> RunResult:
                         log_intervals(job[_INTERVALS])
                     counted_done += 1
                     if counted_done >= target:
+                        log._fold(buffers)
                         return RunResult(records=log, truncated=False, end_time=now)
                 if pool:
                     job = heappop(pool)[3]
@@ -555,6 +544,8 @@ def run(model: SystemModel, policy: PolicyConfig, cfg) -> RunResult:
                 heapreplace(busy, key)
             if pool and idle:
                 raise RuntimeError("work conservation violated: idle server with waiting jobs")
+        # reduced at each window's end, so the log a run returns holds no unreduced value
+        log._fold(buffers)
 
     # the stream is over; a run to a target was cut short
     return RunResult(records=log, truncated=target != math.inf, end_time=now)
@@ -586,11 +577,11 @@ class RawClassStats:
 def per_class_raw(log: JobLog, model: SystemModel) -> dict[int, RawClassStats]:
     """Reduce a run's job log into the raw estimators, keyed by class index.
 
-    Each class's sojourns, its delays and its interruption intervals are
-    summed with ``math.fsum``, a folded part of the log entering each sum
-    as its exact expansion.  As ``fsum`` is correctly rounded, the sums do
-    not depend on the order of the jobs or on where the log was folded, so
-    they are the same with and without the log's rows.  Every class of the
+    Each class's sojourn, delay and interruption sums are the ``math.fsum``
+    of the log's exact expansions of them.  As ``fsum`` is correctly
+    rounded, the sums do not depend on the order of the jobs or on where
+    the log was folded, so they are the same with and without the log's
+    rows and whatever the block size.  Every class of the
     model gets an entry; one with no counted jobs is
     ``RawClassStats(count=0)``.
     """

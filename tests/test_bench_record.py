@@ -41,3 +41,29 @@ def test_a_clear_gain_holds_in_both_directions():
 ])
 def test_a_gain_short_of_the_rule_does_not_hold(pairs):
     assert not bench_record.summarize(_runs(pairs), DECLARED)["wall_s"]["holds"]
+
+
+def _benchmark_tree(root: Path) -> Path:
+    (root / "perfbench" / "yardstick").mkdir(parents=True)
+    (root / "BENCHMARK.json").write_text('{"workloads": []}\n')
+    (root / "perfbench" / "run.py").write_text("print('run')\n")
+    (root / "perfbench" / "yardstick" / "loop.py").write_text("x = 1\n")
+    # outside the benchmark: a checkout's own code may differ between the sides
+    (root / "src").mkdir()
+    (root / "src" / "code.py").write_text(f"side = {root.name!r}\n")
+    return root
+
+
+def test_benchmark_hash_tells_a_changed_benchmark_apart(tmp_path):
+    parent, change = _benchmark_tree(tmp_path / "parent"), _benchmark_tree(tmp_path / "change")
+    assert bench_record.benchmark_hash(parent) == bench_record.benchmark_hash(change)
+    # compiled bytecode is left out, wherever it lies
+    (change / "perfbench" / "yardstick" / "__pycache__").mkdir()
+    (change / "perfbench" / "yardstick" / "__pycache__" / "loop.cpython-311.pyc").write_bytes(b"\0")
+    assert bench_record.benchmark_hash(parent) == bench_record.benchmark_hash(change)
+    # one byte changed
+    (change / "perfbench" / "yardstick" / "loop.py").write_text("x = 2\n")
+    assert bench_record.benchmark_hash(parent) != bench_record.benchmark_hash(change)
+    (change / "perfbench" / "yardstick" / "loop.py").write_text("x = 1\n")
+    (change / "BENCHMARK.json").write_text('{"workloads": [1]}\n')
+    assert bench_record.benchmark_hash(parent) != bench_record.benchmark_hash(change)

@@ -358,7 +358,8 @@ def test_import_and_scenario_parsing_never_load_re():
             "assert 're' not in sys.modules, sorted(sys.modules)\n"
             "import mgmprio.cli\n"
             f"assert mgmprio.cli.main(['analytic', '--config', {PAPER_S4_CFG!r}]) == 0\n"
-            "loaded = [name for name in ('re', 'argparse', 'gettext', 'locale', 'shutil') if name in sys.modules]\n"
+            "unwanted = ('re', 'argparse', 'gettext', 'locale', 'shutil', 'os')\n"
+            "loaded = [name for name in unwanted if name in sys.modules]\n"
             "assert not loaded, loaded\n")
     proc = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr

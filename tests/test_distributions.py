@@ -223,6 +223,8 @@ def test_law_defining_no_sampling_path_refuses_to_sample():
         lambda: Uniform(0, True),
         lambda: Deterministic(Fraction(1, 3)),
         lambda: ClassSpec(True, Exponential(1.0)),
+        lambda: HyperExponential(((True, 2.0),)),
+        lambda: HyperExponential(((Fraction(1, 2), 1.0), (0.5, 2.0))),
     ],
 )
 def test_invalid_parameters_rejected(build):
@@ -235,7 +237,16 @@ def test_erlang_shape_must_be_integer():
         Erlang(1.5, 1.0)
 
 
-@pytest.mark.parametrize("dist", [*VARIANTS, Uniform(0, 2)], ids=lambda d: d.spec())
+@pytest.mark.parametrize("dist", [
+    *VARIANTS,
+    Uniform(0, 2),
+    HyperExponential(((1, 2.0),)),
+    # a float subclass renders as the plain float it equals, not as np.float64(...)
+    Exponential(np.float64(2.0)),
+    Erlang(3, np.float64(1.5)),
+    HyperExponential(((np.float64(0.25), np.float64(1.0)), (0.75, 2.0))),
+    Uniform(np.float64(-0.0), np.float64(0.1)),
+], ids=lambda d: d.spec())
 def test_spec_string_round_trips(dist):
     assert parse_distribution(dist.spec()) == dist
 

@@ -2,6 +2,7 @@
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mgmprio import (
@@ -132,6 +133,13 @@ def test_render_round_trip_covers_every_distribution():
         )
     )
     assert parse_scenario(render_scenario(scenario)) == scenario
+
+
+def test_render_writes_a_float_subclass_as_a_plain_float():
+    model = SystemModel(1, (ClassSpec(np.float64(1.0), Deterministic(np.float64(0.5))),))
+    text = render_scenario(Scenario(model=model))
+    assert text == "servers 1\nclass lambda=1.0 service=det(0.5)\n"
+    assert parse_scenario(text).model == model
 
 
 def test_render_then_parse_preserves_full_float_precision():

@@ -1,5 +1,6 @@
 """Engine semantics on scripted traces plus stochastic-run properties."""
 
+import functools
 import heapq
 import io
 import math
@@ -23,6 +24,7 @@ from mgmprio import (
     Exponential,
     HyperExponential,
     JOB_RECORD_CSV_HEADER,
+    JobLog,
     PolicyConfig,
     RawClassStats,
     RunConfig,
@@ -233,6 +235,11 @@ def test_per_class_raw_matches_record_reference(model, policy, cfg):
 
 # scenarios/md1_two_class.cfg
 MD1_TWO_CLASS = SystemModel(1, [ClassSpec(0.3, Deterministic(1.0)), ClassSpec(0.3, Deterministic(1.0))])
+# above _VICTIM_SCAN_MAX servers, so the victim heap runs: at load 0.85, and overloaded at 1.25
+M32 = SystemModel(32, [ClassSpec(6.8, Exponential(1.0))] * 4)
+M16_OVERLOADED = SystemModel(16, [ClassSpec(5.0, Exponential(1.0))] * 4)
+H2_ERLANG_DET = SystemModel(2, [ClassSpec(0.5, HyperExponential(((0.9, 2.0), (0.1, 0.2)))),
+                                ClassSpec(0.4, Erlang(3, 3.0)), ClassSpec(0.3, Deterministic(0.8))])
 
 
 @ALL_POLICIES
@@ -241,8 +248,8 @@ MD1_TWO_CLASS = SystemModel(1, [ClassSpec(0.3, Deterministic(1.0)), ClassSpec(0.
     [
         PAPER_S4,
         MD1_TWO_CLASS,
-        SystemModel(32, [ClassSpec(6.8, Exponential(1.0))] * 4),
-        SystemModel(16, [ClassSpec(5.0, Exponential(1.0))] * 4),
+        M32,
+        M16_OVERLOADED,
     ],
     ids=["s4", "md1-two-class", "m32", "m16-overloaded"],
 )
@@ -266,10 +273,9 @@ def test_keeping_records_changes_no_bit_of_the_reduction(model, policy, seed, ca
     [
         PAPER_S4,
         MD1_TWO_CLASS,
-        SystemModel(32, [ClassSpec(6.8, Exponential(1.0))] * 4),
-        SystemModel(16, [ClassSpec(5.0, Exponential(1.0))] * 4),
-        SystemModel(2, [ClassSpec(0.5, HyperExponential(((0.9, 2.0), (0.1, 0.2)))),
-                        ClassSpec(0.4, Erlang(3, 3.0)), ClassSpec(0.3, Deterministic(0.8))]),
+        M32,
+        M16_OVERLOADED,
+        H2_ERLANG_DET,
     ],
     ids=["s4", "md1-two-class", "m32", "m16-overloaded", "h2-erlang-det"],
 )
@@ -279,35 +285,46 @@ def test_keeping_records_changes_no_bit_of_the_reduction(model, policy, seed, ca
 def test_folding_the_log_is_not_observable(model, policy, seed, cap, keep_records, monkeypatch):
     cfg = RunConfig(seed=seed, target_completions=3000, warmup_time=10.0, max_simulated_time=cap,
                     keep_records=keep_records)
-    # blocks of 128 jobs end a window every few hundred arrivals; a block's size is not observable
+    # the log is reduced at the end of every arrival window: the default blocks end one every few
+    # thousand arrivals, blocks of 128 jobs every few hundred, and a block's size is not observable
+    default = run(model, policy, cfg)
     monkeypatch.setattr(mgmprio.simulation, "_BLOCK", 128)
-    monkeypatch.setattr(mgmprio.simulation, "_FOLD_AT", math.inf)
-    unfolded = run(model, policy, cfg)
-    # a fold before every window that follows a counted completion
-    monkeypatch.setattr(mgmprio.simulation, "_FOLD_AT", 1)
-    folded = run(model, policy, cfg)
-    assert sum(counts[0] for counts in folded.records._counts) > 0
-    assert sum(counts[0] for counts in unfolded.records._counts) == 0
+    small = run(model, policy, cfg)
     # repr tells every bit of a float apart
-    assert repr(per_class_raw(folded.records, model)) == repr(per_class_raw(unfolded.records, model))
-    assert (len(folded.records), folded.truncated, repr(folded.end_time)) == \
-        (len(unfolded.records), unfolded.truncated, repr(unfolded.end_time))
-    assert folded.records == unfolded.records
+    raw = repr(per_class_raw(small.records, model))
+    assert raw == repr(per_class_raw(default.records, model))
+    assert (len(small.records), small.truncated, repr(small.end_time)) == \
+        (len(default.records), default.truncated, repr(default.end_time))
+    assert small.records == default.records
     if keep_records:
-        assert list(folded.records) == list(unfolded.records)
+        rows = list(small.records)
+        assert rows == list(default.records)
+        # the reference sums each class's values from the rows, in one fsum each
+        assert raw == repr(reference_per_class_raw(rows, len(model.classes)))
+    else:
+        assert raw == repr(per_class_raw(run(model, policy, replace(cfg, keep_records=True)).records, model))
 
 
-def test_a_trace_is_one_window_and_never_folds(monkeypatch):
+def test_a_trace_is_one_window_reduced_once_at_its_end(monkeypatch):
     # a few hundred paper_s4 arrivals, without the stream's closing class-0 arrival
     trace = TraceInput(list(chain.from_iterable(mgmprio.simulation._arrival_windows(PAPER_S4, 3, 75.0)))[:-1])
     assert len(trace.arrivals) >= 200
-    default = run(PAPER_S4, LIFO, trace)
-    monkeypatch.setattr(mgmprio.simulation, "_FOLD_AT", 1)
-    unfolded = run(PAPER_S4, LIFO, trace)
-    assert sum(counts[0] for counts in unfolded.records._counts) == 0
-    assert len(unfolded.records) == len(trace.arrivals)
-    assert list(unfolded.records) == list(default.records)
-    assert repr(per_class_raw(unfolded.records, PAPER_S4)) == repr(per_class_raw(default.records, PAPER_S4))
+    folded = []
+    fold = JobLog._fold
+
+    def counting_fold(log, buffers):
+        folded.append(sum(map(len, buffers[0])))
+        fold(log, buffers)
+
+    monkeypatch.setattr(JobLog, "_fold", counting_fold)
+    result = run(PAPER_S4, LIFO, trace)
+    # one reduction, of every job's sojourn
+    assert folded == [len(trace.arrivals)]
+    rows = list(result.records)
+    assert len(rows) == len(trace.arrivals)
+    # the rows hold every arrival, its class and its service as the trace gives them
+    assert sorted((r.arrival_time, r.class_index, r.service_requirement) for r in rows) == sorted(trace.arrivals)
+    assert repr(per_class_raw(result.records, PAPER_S4)) == repr(reference_per_class_raw(rows, len(PAPER_S4.classes)))
 
 
 def test_job_log_without_rows_refuses_to_be_read():
@@ -629,15 +646,11 @@ class _ShiftedExponential(ServiceDistribution):
 )
 def test_block_size_is_not_observable(model, policy, monkeypatch):
     cfg = RunConfig(seed=31, target_completions=3000, warmup_time=20.0)
-    default_block = mgmprio.simulation._BLOCK
-    # 3000 jobs never fold at the default _FOLD_AT; at the others, blocks of another size move the folds
-    for fold_at in (mgmprio.simulation._FOLD_AT, 1, 700):
-        monkeypatch.setattr(mgmprio.simulation, "_FOLD_AT", fold_at)
-        monkeypatch.setattr(mgmprio.simulation, "_BLOCK", default_block)
-        default = run(model, policy, cfg)
-        for block in (1, 3):
-            monkeypatch.setattr(mgmprio.simulation, "_BLOCK", block)
-            assert run(model, policy, cfg).records == default.records
+    default = run(model, policy, cfg)
+    # blocks of another size also move the window ends, where the log is reduced
+    for block in (1, 3):
+        monkeypatch.setattr(mgmprio.simulation, "_BLOCK", block)
+        assert run(model, policy, cfg).records == default.records
 
 
 @ALL_POLICIES
@@ -693,6 +706,35 @@ def test_exponential_service_gives_every_policy_the_same_waits(model):
             half_width = t975 * statistics.stdev(diffs) / math.sqrt(len(diffs))
             # differences all exactly 0 pass
             assert abs(statistics.fmean(diffs)) <= 4 * half_width, (policy, k, diffs)
+
+
+PAPER_S4_DET = SystemModel(3, [ClassSpec(1.0, Deterministic(mean)) for mean in (0.2, 0.4, 0.6, 0.8)])
+PREFIX_MODELS = {"s4": PAPER_S4, "s4-det": PAPER_S4_DET, "h2-erlang-det": H2_ERLANG_DET, "m32": M32,
+                 "m16-overloaded": M16_OVERLOADED}
+
+
+@functools.cache
+def _capped_raw(model, policy, seed):
+    """``per_class_raw`` of one rowless run up to the time cap, which it must reach, and no target."""
+    result = run(model, policy, RunConfig(seed=seed, target_completions=10**9, warmup_time=5.0,
+                                          max_simulated_time=500.0, keep_records=False))
+    assert result.truncated
+    return per_class_raw(result.records, model)
+
+
+@ALL_POLICIES
+@pytest.mark.parametrize("seed", [1, 7919])
+@pytest.mark.parametrize("name, k", [(name, k) for name, model in PREFIX_MODELS.items()
+                                     for k in range(1, len(model.classes))])
+def test_a_priority_prefix_runs_as_in_the_full_model(name, k, seed, policy):
+    # classes 1..k draw from the same substreams whatever follows them, tied arrivals go in class
+    # order, and a lower class never holds a server a higher one needs; so the model cut to them
+    # gives each the same sums, bit for bit, when both runs stop at one time cap
+    model = PREFIX_MODELS[name]
+    full = _capped_raw(model, policy, seed)
+    cut = _capped_raw(SystemModel(model.servers, model.classes[:k]), policy, seed)
+    # repr tells every bit of a float apart
+    assert [repr(cut[c]) for c in range(1, k + 1)] == [repr(full[c]) for c in range(1, k + 1)]
 
 
 def test_subnormal_arrival_rate_runs_without_warnings():
@@ -806,5 +848,5 @@ def test_run_result_holds_at_most_100_bytes_per_counted_job():
 def test_rowless_run_result_holds_bounded_memory(jobs):
     result, held = held_by_run(RunConfig(seed=1, target_completions=jobs, warmup_time=20.0, keep_records=False))
     assert result.counted_completions == jobs
-    # the log folds its lists between arrival windows, so what it holds does not grow with the jobs
+    # run folds every window's values into the log, so what the log holds does not grow with the jobs
     assert held <= 500_000

@@ -11,20 +11,37 @@ side and metric, the median and quartiles (``statistics.quantiles``,
 inclusive method), with the pairs the change won, ties counting for
 neither side, and the parent's quartile spread.  A metric's gain ``holds``
 when the change won at least nine pairs in ten and its median is better by
-more than that spread.  The stamp names both commits and the Python, numpy
-and ``nproc`` that perfbench reported.
+more than that spread.  The stamp names both commits, the Python, numpy
+and ``nproc`` that perfbench reported, and each side's benchmark hash:
+SHA-256 over ``BENCHMARK.json`` and every file under ``perfbench/``,
+``__pycache__`` left out, path by path.
 
-Exits 1 when a run fails (non-zero exit or a failed check) or the two
-sides' digests differ, after writing the record.
+Exits 1 when a run fails (non-zero exit or a failed check), the two
+sides' digests differ or their benchmark hashes differ, after writing the
+record: a pair is only a comparison when both sides run the same benchmark.
 """
 
 import argparse
+import hashlib
 import json
 import statistics
 import subprocess
 import sys
 import time
 from pathlib import Path
+
+
+def benchmark_hash(root: Path) -> str:
+    """SHA-256 of the benchmark in checkout ``root``: each file's relative path and bytes, in path order."""
+    files = [root / "BENCHMARK.json"]
+    files += sorted(p for p in (root / "perfbench").rglob("*")
+                    if p.is_file() and "__pycache__" not in p.relative_to(root).parts)
+    h = hashlib.sha256()
+    for path in files:
+        data = path.read_bytes()
+        h.update(b"%s\0%d\0" % (path.relative_to(root).as_posix().encode(), len(data)))
+        h.update(data)
+    return h.hexdigest()
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: int) -> dict:
@@ -87,6 +104,7 @@ def main(argv=None) -> int:
         ap.error("--pairs must be at least 1")
 
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    hashes = {side: benchmark_hash(root) for side, root in roots.items()}
     runs, log = [], []
     for k in range(args.pairs):
         order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
@@ -109,6 +127,7 @@ def main(argv=None) -> int:
             "workload": args.workload, "seed": args.seed, "seconds": args.seconds, "pairs": args.pairs,
             **{f"{side}_commit": stamps[side].get("commit", "unknown") for side in roots},
             **{key: stamps["change"].get(key) for key in ("python", "numpy", "nproc")},
+            **{f"{side}_benchmark_sha256": hashes[side] for side in roots},
         },
         "digests": digests,
         "digests_equal": digests["parent"] == digests["change"] and len(digests["change"]) == 1,
@@ -122,6 +141,9 @@ def main(argv=None) -> int:
         return 1
     if not record["digests_equal"]:
         print(f"error: digests differ: {digests}", file=sys.stderr)
+        return 1
+    if hashes["parent"] != hashes["change"]:
+        print(f"error: the two checkouts' benchmarks differ: {hashes}", file=sys.stderr)
         return 1
     for name, s in record["summary"].items():
         print(f"{name}: parent {s['parent']['median']:.6g} change {s['change']['median']:.6g} "
