@@ -19,8 +19,11 @@ other lane is an ``os.fork`` child that pipes back, per replication,
 only its truncation flag, counted completions and per-class raw
 estimators.  The results are put back in seed order before they are
 aggregated, so every estimate, half-width and count is bit-identical for
-any lane count.  Where the platform lacks ``os.fork`` or
-``os.sched_getaffinity`` there is one lane and no child.  Untested limit:
+any lane count.  A lane the system will not fork runs in the calling
+process, after lane 0; where the platform lacks ``os.fork`` or
+``os.sched_getaffinity`` there is one lane and no child.  The lane code
+knows only one callable, the work of one seed: :func:`replicate`'s is one
+rowless ``run`` and its ``per_class_raw``.  Untested limit:
 numpy's OpenBLAS starts a thread at import, and Python 3.12 and later
 warn when a multi-threaded process forks.
 """
@@ -125,20 +128,11 @@ def rep_seeds(base_seed: int, n_reps: int) -> tuple[int, ...]:
     return tuple(int(s) for s in state)
 
 
-def _run_reps(model: SystemModel, policy: PolicyConfig, base_cfg: RunConfig, seeds: tuple[int, ...]) -> list[tuple]:
-    """Each seed's ``(truncated, counted completions, per_class_raw)``, in seed order, from runs without rows."""
-    reps = []
-    for seed in seeds:
-        result = run(model, policy, replace(base_cfg, seed=seed, keep_records=False))
-        reps.append((result.truncated, result.counted_completions, per_class_raw(result.records, model)))
-    return reps
+def _fork_lane(work, seeds: tuple[int, ...]):
+    """Fork a child that runs ``work`` on each of ``seeds``; returns its pid and the pipe it writes.
 
-
-def _fork_lane(model: SystemModel, policy: PolicyConfig, base_cfg: RunConfig, seeds: tuple[int, ...]):
-    """Fork a child that runs ``seeds`` with :func:`_run_reps`; returns its pid and the pipe it writes.
-
-    The child pickles ``(True, reps)`` or ``(False, exception)`` into the
-    pipe and leaves by ``os._exit``, so it runs no exit handlers and
+    The child pickles ``(True, results)`` or ``(False, exception)`` into
+    the pipe and leaves by ``os._exit``, so it runs no exit handlers and
     flushes none of the stdio buffers it inherited.  Its exit status is 0
     only when the whole message was written.
     """
@@ -154,7 +148,7 @@ def _fork_lane(model: SystemModel, policy: PolicyConfig, base_cfg: RunConfig, se
         try:
             os.close(read_fd)
             try:
-                message = (True, _run_reps(model, policy, base_cfg, seeds))
+                message = (True, [work(seed) for seed in seeds])
             except BaseException as exc:  # the caller re-raises it
                 message = (False, exc)
             with open(write_fd, "wb") as pipe:
@@ -166,14 +160,16 @@ def _fork_lane(model: SystemModel, policy: PolicyConfig, base_cfg: RunConfig, se
     return pid, open(read_fd, "rb")
 
 
-def _run_lanes(model: SystemModel, policy: PolicyConfig, base_cfg: RunConfig, seeds: tuple[int, ...]) -> list[tuple]:
-    """:func:`_run_reps` over ``seeds``, split into contiguous lanes, one per usable CPU.
+def _run_lanes(work, seeds: tuple[int, ...]) -> list:
+    """``work(seed)`` for every seed, in seed order, from contiguous lanes, one per usable CPU.
 
     Lane 0 runs here, each other lane in a forked child; where the seeds
-    do not split evenly, the lanes first in order take one more.  A child's
-    exception is re-raised here; a child that sends no result raises
-    RuntimeError.  Every child is reaped before this returns or raises,
-    and on an error the ones still running are killed first.
+    do not split evenly, the lanes first in order take one more.  A lane
+    the system will not fork (``EAGAIN`` under a process limit, say) runs
+    here too, after lane 0 and in lane order.  A child's exception is
+    re-raised here; a child that sends no result raises RuntimeError.
+    Every child is reaped before this returns or raises, and on an error
+    the ones still running are killed first.
     """
     lanes = 1
     if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
@@ -182,30 +178,36 @@ def _run_lanes(model: SystemModel, policy: PolicyConfig, base_cfg: RunConfig, se
     # run here, takes the larger share
     cuts = [-(-len(seeds) * k // lanes) for k in range(lanes + 1)]
     chunks = [seeds[a:b] for a, b in zip(cuts, cuts[1:])]
-    children = []  # (pid, pipe, seeds) of the children not yet reaped, in lane order
+    results = [None] * lanes  # each lane's list of results
+    local = [0]  # the lanes run here, in lane order
+    children = []  # (lane, pid, pipe) of the children not yet reaped, in lane order
     try:
-        for chunk in chunks[1:]:
-            children.append((*_fork_lane(model, policy, base_cfg, chunk), chunk))
-        reps = _run_reps(model, policy, base_cfg, chunks[0])
+        for lane in range(1, lanes):
+            try:
+                children.append((lane, *_fork_lane(work, chunks[lane])))
+            except OSError:
+                local.append(lane)
+        for lane in local:
+            results[lane] = [work(seed) for seed in chunks[lane]]
         while children:
-            pid, pipe, chunk = children[0]
+            lane, pid, pipe = children[0]
             data = pipe.read()
             status = os.waitpid(pid, 0)[1]
             del children[0]
             pipe.close()
             code = os.waitstatus_to_exitcode(status)
             if code != 0 or not data:
-                raise RuntimeError(f"the replication lane of seeds {list(chunk)} ended "
+                raise RuntimeError(f"the replication lane of seeds {list(chunks[lane])} ended "
                                    f"with exit code {code} and sent no result")
             ok, payload = pickle.loads(data)
             if not ok:
                 raise payload
-            reps.extend(payload)
-        return reps
+            results[lane] = payload
+        return [result for lane in results for result in lane]
     finally:
-        for pid, _, _ in children:
+        for _, pid, _ in children:
             os.kill(pid, 9)  # SIGKILL is 9 on every POSIX system; this spares loading the signal module
-        for pid, pipe, _ in children:
+        for _, pid, pipe in children:
             os.waitpid(pid, 0)
             pipe.close()
 
@@ -220,8 +222,14 @@ def replicate(model: SystemModel, policy: PolicyConfig, base_cfg, n_reps: int) -
     if not isinstance(base_cfg, RunConfig):
         raise TypeError(f"base_cfg must be a RunConfig, got {type(base_cfg).__name__}")
     require_count("n_reps", n_reps, 1)
+
+    def rep(seed: int) -> tuple:
+        # run and per_class_raw are read from this module at each call, where a tracer patches them
+        result = run(model, policy, replace(base_cfg, seed=seed, keep_records=False))
+        return result.truncated, result.counted_completions, per_class_raw(result.records, model)
+
     started = time.perf_counter()
-    truncated, completions, raws = zip(*_run_lanes(model, policy, base_cfg, rep_seeds(base_cfg.seed, n_reps)))
+    truncated, completions, raws = zip(*_run_lanes(rep, rep_seeds(base_cfg.seed, n_reps)))
     # per_class_raw gives every class of the model an entry in every rep
     classes = {
         cls: {name: _estimate([v for raw in raws if (v := getattr(raw[cls], name)) is not None])
@@ -261,7 +269,14 @@ class ComparisonRow:
 
 
 def compare(report: SimulationReport, analytic: list[ClassMetrics]) -> list[ComparisonRow]:
-    """Join a simulation report against analytic metrics, class by class."""
+    """Join a simulation report against analytic metrics, class by class.
+
+    ``analytic`` holds one entry per class of the report, in class order;
+    a list of another length raises ValueError.
+    """
+    if len(analytic) != len(report.classes):
+        raise ValueError(f"analytic metrics for {len(analytic)} classes against a report "
+                         f"of {len(report.classes)} classes")
     rows = []
     absent = _estimate([])
     for cls, metrics in enumerate(analytic, start=1):

@@ -9,6 +9,8 @@ rational arithmetic on ``fractions.Fraction``.  Tests freeze values
 produced here and require the float implementation to reproduce them.
 :func:`kleinrock_preemptive_sojourns` gives the exact one-server sojourns
 that simulated strict preemption with first-come order must cover.
+:func:`mphc_fcfs_wait` gives the exact M/PH/m first-come wait, in floats,
+from a finite Markov chain solved by :func:`ctmc_stationary`.
 
 It also keeps the record-by-record per-class reduction,
 :func:`reference_per_class_raw`, that the simulator's columnar
@@ -21,6 +23,10 @@ policy.
 import math
 from fractions import Fraction
 from math import factorial, inf
+
+import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.linalg import spsolve
 
 from mgmprio import RawClassStats
 
@@ -151,6 +157,89 @@ def kleinrock_preemptive_sojourns(classes) -> list[Fraction]:
         out.append(mean / (1 - above) + moment_sum / (2 * (1 - above) * (1 - load)))
         above = load
     return out
+
+
+def ctmc_stationary(n_states: int, transitions) -> np.ndarray:
+    """The stationary law of an irreducible CTMC on states 0..n-1 with ``(from, to, rate)`` transitions.
+
+    pi Q = 0 with the probabilities summing to 1: the transposed generator
+    is assembled as a sparse matrix (repeated pairs add up), its first
+    balance equation is replaced by the normalisation, and ``spsolve``
+    solves the system.
+    """
+    src, dst, rate = (np.asarray(column) for column in zip(*transitions))
+    states = np.arange(n_states)
+    rows = np.concatenate([dst, states])
+    cols = np.concatenate([src, states])
+    vals = np.concatenate([rate, -np.bincount(src, weights=rate, minlength=n_states)])
+    keep = rows != 0
+    rows = np.concatenate([rows[keep], np.zeros(n_states, dtype=int)])
+    cols = np.concatenate([cols[keep], states])
+    vals = np.concatenate([vals[keep], np.ones(n_states)])
+    rhs = np.zeros(n_states)
+    rhs[0] = 1.0
+    return spsolve(coo_matrix((vals, (rows, cols)), shape=(n_states, n_states)).tocsc(), rhs)
+
+
+def _compositions(total: int, parts: int):
+    """Every tuple of ``parts`` non-negative integers that sum to ``total``."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total, -1, -1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first, *rest)
+
+
+def mphc_fcfs_wait(lam: float, m: int, alpha, T, cap: int) -> tuple[float, float]:
+    """Mean wait in queue of the M/PH/m first-come queue, and the stationary mass at the queue cap.
+
+    A service starts in phase i with probability ``alpha[i]``, moves from
+    phase i to phase j at rate ``T[i][j]`` and ends from phase i at rate
+    ``-sum(T[i])``.  A state is the queue length q and the number of jobs
+    in service in each phase; q > 0 only when all ``m`` servers are busy,
+    and an arrival that finds q = ``cap`` >= 1 is lost.  By Little's law
+    the wait is E[q] over the accepted rate, ``lam`` times one less the
+    mass at the cap (PASTA).
+    """
+    k = len(alpha)
+    exits = [-math.fsum(row) for row in T]
+    index = {}
+    for busy in range(m + 1):
+        for phases in _compositions(busy, k):
+            for q in range(cap + 1 if busy == m else 1):
+                index[q, phases] = len(index)
+
+    def moved(phases, i, j):
+        """``phases`` with one job taken from phase i (none when i is None) and one put in phase j."""
+        out = list(phases)
+        if i is not None:
+            out[i] -= 1
+        out[j] += 1
+        return tuple(out)
+
+    transitions = []
+    for (q, phases), s in index.items():
+        if sum(phases) < m:
+            transitions += [(s, index[0, moved(phases, None, j)], lam * a) for j, a in enumerate(alpha) if a]
+        elif q < cap:
+            transitions.append((s, index[q + 1, phases], lam))
+        for i, n in enumerate(phases):
+            if not n:
+                continue
+            transitions += [(s, index[q, moved(phases, i, j)], n * T[i][j])
+                            for j in range(k) if j != i and T[i][j]]
+            if q:  # the job at the head of the queue starts at once
+                transitions += [(s, index[q - 1, moved(phases, i, j)], n * exits[i] * a)
+                                for j, a in enumerate(alpha) if a and exits[i]]
+            elif exits[i]:
+                less = list(phases)
+                less[i] -= 1
+                transitions.append((s, index[0, tuple(less)], n * exits[i]))
+    pi = ctmc_stationary(len(index), transitions)
+    at_cap = math.fsum(pi[s] for (q, _), s in index.items() if q == cap)
+    queue = math.fsum(q * pi[s] for (q, _), s in index.items())
+    return queue / (lam * (1 - at_cap)), at_cap
 
 
 def reference_per_class_raw(records, n_classes: int) -> dict[int, RawClassStats]:

@@ -1,4 +1,4 @@
-"""The paired benchmark record's summary: medians, pair wins and the gain rule."""
+"""The paired benchmark record's summary: medians, pair wins, the gain rule and the verdicts."""
 
 import importlib.util
 from pathlib import Path
@@ -10,8 +10,8 @@ _spec = importlib.util.spec_from_file_location("bench_record", _PATH)
 bench_record = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_record)
 
-DECLARED = [{"name": "wall_s", "unit": "s", "better": "lower"},
-            {"name": "jobs_per_s", "unit": "1/s", "better": "higher"}]
+DECLARED = [{"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25},
+            {"name": "jobs_per_s", "unit": "1/s", "better": "higher", "bound": 0.25}]
 
 
 def _runs(pairs):
@@ -43,6 +43,32 @@ def test_a_gain_short_of_the_rule_does_not_hold(pairs):
     assert not bench_record.summarize(_runs(pairs), DECLARED)["wall_s"]["holds"]
 
 
+TIGHT = [1.00, 1.02, 0.98, 1.01, 0.99, 1.00, 1.03, 0.97, 1.00, 1.01]
+WIDE = [0.6, 1.0, 1.4, 0.6, 1.0, 1.4, 0.6, 1.0, 1.4, 1.0]  # quartile spread 0.8 of the median
+
+
+@pytest.mark.parametrize("pairs, verdict", [
+    # the change's median is 50% worse, beyond the 25% bound (and 1 / 1.5 is 33% worse)
+    ([(p, p * 1.5) for p in TIGHT], "worse"),
+    # 10% worse on a tight parent: inside the bound
+    ([(p, p * 1.1) for p in TIGHT], "within_bound"),
+    ([(p, p) for p in TIGHT], "within_bound"),
+    # the parent spreads wider than the bound, so no change in the median can be told apart
+    ([(p, p * 0.95) for p in WIDE], "unresolved"),
+    ([(p, p * 1.2) for p in WIDE], "unresolved"),
+    # unless every change run beats every parent run
+    ([(p, 0.5) for p in WIDE], "better_every_run"),
+    ([(p, p * 0.5) for p in TIGHT], "better_every_run"),
+    # a worse median beyond the bound is worse, however wide the parent spreads
+    ([(p, 1.5) for p in WIDE], "worse"),
+])
+def test_each_metric_gets_a_no_regression_verdict(pairs, verdict):
+    summary = bench_record.summarize(_runs(pairs), DECLARED)
+    assert summary["wall_s"]["bound"] == 0.25
+    # jobs_per_s is 1 / wall_s, so it is better in the other direction and gets the same verdict
+    assert (summary["wall_s"]["verdict"], summary["jobs_per_s"]["verdict"]) == (verdict, verdict)
+
+
 def _benchmark_tree(root: Path) -> Path:
     (root / "perfbench" / "yardstick").mkdir(parents=True)
     (root / "BENCHMARK.json").write_text('{"workloads": []}\n')
@@ -66,4 +92,17 @@ def test_benchmark_hash_tells_a_changed_benchmark_apart(tmp_path):
     assert bench_record.benchmark_hash(parent) != bench_record.benchmark_hash(change)
     (change / "perfbench" / "yardstick" / "loop.py").write_text("x = 1\n")
     (change / "BENCHMARK.json").write_text('{"workloads": [1]}\n')
+    assert bench_record.benchmark_hash(parent) != bench_record.benchmark_hash(change)
+
+
+def test_source_hash_tells_the_package_sources_apart(tmp_path):
+    parent, change = _benchmark_tree(tmp_path / "parent"), _benchmark_tree(tmp_path / "change")
+    assert bench_record.source_hash(parent) != bench_record.source_hash(change)
+    (change / "src" / "code.py").write_text("side = 'parent'\n")
+    assert bench_record.source_hash(parent) == bench_record.source_hash(change)
+    # compiled bytecode is left out, and the benchmark's own files are not source
+    (change / "src" / "__pycache__").mkdir()
+    (change / "src" / "__pycache__" / "code.cpython-311.pyc").write_bytes(b"\0")
+    (change / "perfbench" / "run.py").write_text("print('changed')\n")
+    assert bench_record.source_hash(parent) == bench_record.source_hash(change)
     assert bench_record.benchmark_hash(parent) != bench_record.benchmark_hash(change)

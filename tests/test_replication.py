@@ -1,9 +1,11 @@
 """Replication seeding, interval estimates, and comparison-table behavior."""
 
+import errno
 import math
 import os
 from dataclasses import fields, replace
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 import scipy.stats as sps
@@ -11,7 +13,9 @@ import scipy.stats as sps
 from mgmprio import (
     ClassEstimate,
     ClassSpec,
+    Erlang,
     Exponential,
+    HyperExponential,
     PolicyConfig,
     RawClassStats,
     ReplicationMetadata,
@@ -29,8 +33,9 @@ from mgmprio import (
     run,
 )
 from mgmprio import replication
+from mgmprio.cli import main
 from mgmprio.replication import METRIC_NAMES, rep_seeds
-from oracles import kleinrock_preemptive_sojourns
+from oracles import kleinrock_preemptive_sojourns, mphc_fcfs_wait
 
 MM3 = SystemModel(3, [ClassSpec(1.0, Exponential(2.0)) for _ in range(3)])
 FOUR_CLASS = SystemModel(
@@ -43,6 +48,11 @@ FOUR_CLASS = SystemModel(
     ],
 )
 LIFO = PolicyConfig()
+FIFO_STRICT = PolicyConfig(within_class_order="fifo", equal_class_preemption=False)
+MM3_CFG = str(Path(__file__).resolve().parent.parent / "scenarios" / "mm3_identical.cfg")
+# mean 0.2 and squared coefficient of variation 4, with balanced means: p_i / r_i = 0.1
+_P1 = (1 + math.sqrt(0.6)) / 2
+H2_SCV4 = HyperExponential(((_P1, 10 * _P1), (1 - _P1, 10 * (1 - _P1))))
 
 
 def test_rep_seeds_are_prefix_stable_and_distinct():
@@ -185,6 +195,52 @@ def test_strict_fifo_preemption_covers_kleinrock_sojourn(spec):
         assert abs(v.estimate - truth) <= 4 * v.ci_half_width, (cls, v, float(truth))
 
 
+def phase_type(law) -> tuple[list[float], list[list[float]]]:
+    """A package law as its phase-type ``(alpha, T)``: initial phase probabilities and sub-generator."""
+    if isinstance(law, Exponential):
+        return [1.0], [[-law.rate]]
+    if isinstance(law, Erlang):
+        k, r = law.shape, law.rate
+        return [1.0] + [0.0] * (k - 1), [[-r if j == i else r if j == i + 1 else 0.0 for j in range(k)]
+                                         for i in range(k)]
+    k = len(law.branches)
+    return [p for p, _ in law.branches], [[-r if j == i else 0.0 for j in range(k)]
+                                          for i, (_, r) in enumerate(law.branches)]
+
+
+@pytest.mark.parametrize("law, truth", [(Exponential(5.0), 0.3), (Erlang(2, 10.0), 0.225), (H2_SCV4, 0.75)],
+                         ids=["exp", "erlang2", "h2_scv4"])
+def test_mphc_chain_on_one_server_is_pollaczek_khinchine(law, truth):
+    w, at_cap = mphc_fcfs_wait(3.0, 1, *phase_type(law), 400)
+    mean = F(law.mean())
+    pk = float(kleinrock_preemptive_sojourns([(F(3), mean, F(law.second_moment()))])[0] - mean)
+    assert w == pytest.approx(truth, abs=1e-10) and pk == pytest.approx(truth, abs=1e-10)
+    assert 0 <= at_cap < 1e-30
+
+
+@pytest.mark.parametrize("law, truth, cap_mass", [
+    (Exponential(5.0), 4 / 45, 1e-70),  # Erlang C
+    (Erlang(2, 10.0), 0.068109, 1e-90),
+    (H2_SCV4, 0.197876, 1e-16),
+], ids=["exp", "erlang2", "h2_scv4"])
+def test_mphc_chain_on_three_servers(law, truth, cap_mass):
+    w, at_cap = mphc_fcfs_wait(10.0, 3, *phase_type(law), 400)
+    assert w == pytest.approx(truth, abs=5e-7) and 0 <= at_cap < cap_mass
+
+
+@pytest.mark.parametrize("law, approx_error", [(Erlang(2, 10.0), 0.305), (H2_SCV4, -0.551)],
+                         ids=["erlang2", "h2_scv4"])
+def test_fifo_strict_class_one_covers_the_mphc_chain(law, approx_error):
+    # under FIFO with strict preemption class 1 is never displaced, so it is an M/PH/3 first-come queue
+    truth = mphc_fcfs_wait(10.0, 3, *phase_type(law), 400)[0]
+    model = SystemModel(3, [ClassSpec(10.0, law), ClassSpec(2.0, Exponential(10.0))])
+    report = replicate(model, FIFO_STRICT, RunConfig(seed=13, target_completions=40_000, warmup_time=20.0), 8)
+    w = report.classes[1]["w"]
+    assert abs(w.estimate - truth) <= 4 * w.ci_half_width, (w, truth)
+    # approx_metrics gives class 1 the M/M/3 wait whatever its law
+    assert round(approx_metrics(model)[0].w / truth - 1, 3) == approx_error
+
+
 def test_compare_zero_deviation_when_report_echoes_analytic():
     analytic = exact_mmm_identical(MM3)
     classes = {}
@@ -242,6 +298,14 @@ def test_compare_flags_unstable_and_unobserved():
     assert top_u.sim_mean is None and top_u.covered is None
 
 
+@pytest.mark.parametrize("entries", [2, 5])
+def test_compare_refuses_analytic_metrics_for_another_class_count(entries):
+    report = replicate(FOUR_CLASS, LIFO, RunConfig(seed=4, target_completions=200), 1)
+    analytic = (approx_metrics(FOUR_CLASS) * 2)[:entries]
+    with pytest.raises(ValueError, match=f"^analytic metrics for {entries} classes against a report of 4 classes$"):
+        compare(report, analytic)
+
+
 def force_cpus(monkeypatch, cpus: int) -> list[int]:
     """Make ``replicate`` see ``cpus`` usable CPUs; returns the pids of the children it forks."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
@@ -294,6 +358,36 @@ def test_estimates_are_bit_identical_for_any_lane_count(monkeypatch, model, n_re
         assert report.classes == reports[0].classes
         assert report.metadata.completions_per_rep == reports[0].metadata.completions_per_rep
         assert report.metadata.truncated == reports[0].metadata.truncated
+
+
+@pytest.mark.parametrize("refused", [1, 2], ids=["first-fork", "second-fork"])
+def test_a_lane_the_system_will_not_fork_runs_in_the_caller(monkeypatch, capsys, refused):
+    cfg = RunConfig(seed=23, target_completions=1500, warmup_time=10.0)
+    argv = ["simulate", "--config", MM3_CFG, "--format", "csv", "--jobs", "2000", "--warmup", "10", "--reps", "3"]
+    force_cpus(monkeypatch, 1)
+    one_lane = replicate(FOUR_CLASS, LIFO, cfg, 5)
+    assert main(argv) == 0
+    one_lane_out = capsys.readouterr().out
+    forked = force_cpus(monkeypatch, 3)
+    fork, calls = os.fork, []
+
+    def refusing_fork():
+        calls.append(None)
+        if len(calls) == refused:
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return fork()
+
+    monkeypatch.setattr(os, "fork", refusing_fork)
+    report = replicate(FOUR_CLASS, LIFO, cfg, 5)
+    assert len(calls) == 2 and len(forked) == 1
+    assert repr(report.classes) == repr(one_lane.classes)
+    assert report.metadata.completions_per_rep == one_lane.metadata.completions_per_rep
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    calls.clear()
+    assert main(argv) == 0
+    assert capsys.readouterr().out == one_lane_out
+    assert len(calls) == 2 and len(forked) == 2
 
 
 class FailingService(ServiceDistribution):

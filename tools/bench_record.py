@@ -1,20 +1,27 @@
 """Paired benchmark record: a parent checkout against a change, one workload, one seed.
 
     python3 tools/bench_record.py --parent DIR --change DIR --workload analytic_cold \\
-        [--pairs 10] [--seconds 8] [--seed 1] --out BENCH_<label>.json
+        [--pairs 10] [--seed 1] --out BENCH_<label>.json
 
-Each side's own ``perfbench/run.py`` runs unchanged with ``--trace 0``, from
-the root of its checkout, one process at a time.  Pair k runs the parent
-first when k is even and the change first when k is odd.  The record holds
-every run (end-to-end metrics, ``attempted``, ``failed``, digest) and, per
-side and metric, the median and quartiles (``statistics.quantiles``,
-inclusive method), with the pairs the change won, ties counting for
-neither side, and the parent's quartile spread.  A metric's gain ``holds``
-when the change won at least nine pairs in ten and its median is better by
-more than that spread.  The stamp names both commits, the Python, numpy
-and ``nproc`` that perfbench reported, and each side's benchmark hash:
-SHA-256 over ``BENCHMARK.json`` and every file under ``perfbench/``,
-``__pycache__`` left out, path by path.
+Each side's own ``perfbench/run.py`` runs unchanged with ``--trace 0`` and
+the parent's ``BENCHMARK.json`` ``run_seconds``, from the root of its
+checkout, one process at a time.  Pair k runs the parent first when k is
+even and the change first when k is odd.  The record holds every run
+(end-to-end metrics, ``attempted``, ``failed``, digest) and, per side and
+metric, the median and quartiles (``statistics.quantiles``, inclusive
+method), with the pairs the change won, ties counting for neither side,
+and the parent's quartile spread.  A metric's gain ``holds`` when the
+change won at least nine pairs in ten and its median is better by more
+than that spread.  Its ``verdict``, against the metric's ``BENCHMARK.json``
+bound as a share of the parent's median, is ``worse`` when the change's
+median is worse by more than the bound, ``better_every_run`` when every
+change run beats every parent run, ``unresolved`` when the parent's
+quartile spread is wider than the bound, and ``within_bound`` otherwise.
+The stamp names both commits, the Python, numpy and ``nproc`` that
+perfbench reported, each side's benchmark hash (SHA-256 over
+``BENCHMARK.json`` and every file under ``perfbench/``) and each side's
+source hash (SHA-256 over every file under ``src/``), ``__pycache__`` left
+out, path by path; the source hash names a checkout that has no ``.git``.
 
 Exits 1 when a run fails (non-zero exit or a failed check), the two
 sides' digests differ or their benchmark hashes differ, after writing the
@@ -31,17 +38,36 @@ import time
 from pathlib import Path
 
 
-def benchmark_hash(root: Path) -> str:
-    """SHA-256 of the benchmark in checkout ``root``: each file's relative path and bytes, in path order."""
-    files = [root / "BENCHMARK.json"]
-    files += sorted(p for p in (root / "perfbench").rglob("*")
-                    if p.is_file() and "__pycache__" not in p.relative_to(root).parts)
+def tree_hash(root: Path, *names: str) -> str:
+    """SHA-256 of the named files and directory trees of checkout ``root``: each file's relative path and bytes.
+
+    Files go in the order of ``names``, each tree's in path order, and no
+    file under a ``__pycache__`` directory is read.
+    """
+    files = []
+    for name in names:
+        path = root / name
+        if path.is_dir():
+            files += sorted(p for p in path.rglob("*")
+                            if p.is_file() and "__pycache__" not in p.relative_to(root).parts)
+        else:
+            files.append(path)
     h = hashlib.sha256()
     for path in files:
         data = path.read_bytes()
         h.update(b"%s\0%d\0" % (path.relative_to(root).as_posix().encode(), len(data)))
         h.update(data)
     return h.hexdigest()
+
+
+def benchmark_hash(root: Path) -> str:
+    """SHA-256 of the benchmark in checkout ``root``: ``BENCHMARK.json`` and ``perfbench/``."""
+    return tree_hash(root, "BENCHMARK.json", "perfbench")
+
+
+def source_hash(root: Path) -> str:
+    """SHA-256 of the package source in checkout ``root``: ``src/``."""
+    return tree_hash(root, "src")
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: int) -> dict:
@@ -69,23 +95,32 @@ def quartiles(values: list) -> dict:
 
 
 def summarize(runs: list, declared: list) -> dict:
-    """Per metric: each side's median and quartiles, the change's pair wins and whether its gain holds."""
+    """Per metric: each side's median and quartiles, the change's pair wins, whether its gain holds, its verdict."""
     out = {}
     for metric in declared:
-        name, lower = metric["name"], metric["better"] == "lower"
+        name, lower, bound = metric["name"], metric["better"] == "lower", metric["bound"]
         pairs = [(p["metrics"][name], c["metrics"][name]) for p, c in runs]
-        parent = quartiles([p for p, _ in pairs])
-        change = quartiles([c for _, c in pairs])
+        parents, changes = [p for p, _ in pairs], [c for _, c in pairs]
+        parent, change = quartiles(parents), quartiles(changes)
         wins = sum(c < p if lower else c > p for p, c in pairs)
         ties = sum(c == p for p, c in pairs)
         gain = parent["median"] - change["median"] if lower else change["median"] - parent["median"]
         spread = parent["q3"] - parent["q1"]
+        if -gain > bound * abs(parent["median"]):
+            verdict = "worse"
+        elif (max(changes) < min(parents)) if lower else (min(changes) > max(parents)):
+            verdict = "better_every_run"
+        elif spread > bound * abs(parent["median"]):
+            verdict = "unresolved"
+        else:
+            verdict = "within_bound"
         out[name] = {
             "unit": metric["unit"], "better": metric["better"], "parent": parent, "change": change,
             "change_wins": wins, "ties": ties, "pairs": len(pairs),
             "median_gain": gain, "parent_spread": spread,
             "relative_gain": gain / parent["median"] if parent["median"] else None,
             "holds": wins >= 0.9 * len(pairs) and gain > spread,
+            "bound": bound, "verdict": verdict,
         }
     return out
 
@@ -96,7 +131,6 @@ def main(argv=None) -> int:
     ap.add_argument("--change", required=True, type=Path, help="root of the change's checkout")
     ap.add_argument("--workload", required=True)
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=int, default=8, help="perfbench --seconds of every run")
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--out", required=True, type=Path, help="record to write, BENCH_<label>.json")
     args = ap.parse_args(argv)
@@ -105,13 +139,15 @@ def main(argv=None) -> int:
 
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     hashes = {side: benchmark_hash(root) for side, root in roots.items()}
+    benchmark = json.loads((roots["parent"] / "BENCHMARK.json").read_text())
+    seconds = benchmark["run_seconds"]
     runs, log = [], []
     for k in range(args.pairs):
         order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
         pair = {}
         for side in order:
             started = time.time()
-            pair[side] = run_once(roots[side], args.workload, args.seed, args.seconds)
+            pair[side] = run_once(roots[side], args.workload, args.seed, seconds)
             log.append({"pair": k, "side": side, "started": started, **pair[side]})
             shown = pair[side].get("metrics") or pair[side].get("error", "")[-200:]
             print(f"pair {k} {side}: {shown}", file=sys.stderr)
@@ -121,18 +157,18 @@ def main(argv=None) -> int:
     digests = {side: sorted({r["digest"] for r in log if r["side"] == side and "digest" in r})
                for side in roots}
     stamps = {side: next((r["env"] for r in log if r["side"] == side and "env" in r), {}) for side in roots}
-    declared = json.loads((roots["parent"] / "BENCHMARK.json").read_text())["end_to_end"]
     record = {
         "stamp": {
-            "workload": args.workload, "seed": args.seed, "seconds": args.seconds, "pairs": args.pairs,
+            "workload": args.workload, "seed": args.seed, "seconds": seconds, "pairs": args.pairs,
             **{f"{side}_commit": stamps[side].get("commit", "unknown") for side in roots},
+            **{f"{side}_source_sha256": source_hash(root) for side, root in roots.items()},
             **{key: stamps["change"].get(key) for key in ("python", "numpy", "nproc")},
             **{f"{side}_benchmark_sha256": hashes[side] for side in roots},
         },
         "digests": digests,
         "digests_equal": digests["parent"] == digests["change"] and len(digests["change"]) == 1,
         "failed_runs": len(bad),
-        "summary": None if bad else summarize(runs, declared),
+        "summary": None if bad else summarize(runs, benchmark["end_to_end"]),
         "runs": [{k: v for k, v in r.items() if k != "env"} for r in log],
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n")
@@ -148,7 +184,7 @@ def main(argv=None) -> int:
     for name, s in record["summary"].items():
         print(f"{name}: parent {s['parent']['median']:.6g} change {s['change']['median']:.6g} "
               f"wins {s['change_wins']}/{s['pairs']} gain {s['median_gain']:.3g} "
-              f"spread {s['parent_spread']:.3g} holds {s['holds']}")
+              f"spread {s['parent_spread']:.3g} holds {s['holds']} verdict {s['verdict']}")
     return 0
 
 
